@@ -1,84 +1,154 @@
-"""Exact polynomial linear algebra helpers (sympy-backed).
+"""Exact linear algebra over Q[x] and Q(x), written on `UniPoly`.
 
-Only the classical module needs genuine algebra over Q[x] (generic ranks,
-kernels, gcd-of-minors saturation degrees); sympy supplies that exactly,
-and everything is converted back to UniPoly at the boundary.
+The classical module needs generic ranks, determinants, maximal minors,
+kernel bases over Q(x) and the content of a family of minors.
+
+Rank by evaluation.  Let D be the sum over the columns of the largest
+entry degree in the column (0 for a constant or zero column).  A minor
+is a signed sum of products with one entry from each of its columns, so
+its degree is at most D.  Evaluation at x = c is a ring map, so the rank
+of M(c) is never above the rank of M over Q(x); and a nonzero minor of
+size rank(M) has at most D roots, so it is nonzero at one of the D + 1
+points x = 0, 1, ..., D.  The largest `Fraction`-elimination rank over
+those points is therefore the generic rank, exactly and without
+randomness.  A matrix of constants (D = 0) takes one elimination.
+
+Determinants and minors come from fraction-free elimination with row
+swaps (Bareiss, Math. Comp. 22, 1968): every division is exact, and its
+remainder is checked to be zero.
+
+Kernel basis.  The pivot columns are the greedy independent columns and
+the pivot rows are the rows the echelon form takes its pivots from, so
+the pivot block A is nonsingular.  For each non-pivot column f, in
+increasing order, Cramer's rule on A gives the kernel vector that is
+det A at f and zero at every other non-pivot column: the reduced row
+echelon nullspace vector times det A.  It is then scaled to be
+primitive in Z[x]: its entries have polynomial gcd 1 and integer
+content 1, and the leading coefficient of its entry at f is positive.
+That picks one vector on the line, independently of how it was found.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-import sympy
-
-from .exactmath import UniPoly
-
-_X = sympy.Symbol("x")
+from .exactmath import UniPoly, poly_gcd, primitive_vector, rational_rank
 
 PolyMatrix = Sequence[Sequence[UniPoly]]
 
-
-def to_expr(p: UniPoly):
-    expr = sympy.Integer(0)
-    for power, c in enumerate(p.coefficients):
-        expr += sympy.Rational(c.numerator, c.denominator) * _X**power
-    return expr
-
-
-def from_expr(expr) -> UniPoly:
-    poly = sympy.Poly(sympy.together(expr), _X, domain="QQ")
-    coeffs = list(reversed(poly.all_coeffs()))
-    return UniPoly(tuple(Fraction(c.p, c.q) for c in coeffs))
-
-
-def _sym_matrix(matrix: PolyMatrix) -> sympy.Matrix:
-    return sympy.Matrix([[to_expr(p) for p in row] for row in matrix])
+_ONE = UniPoly.of(1)
 
 
 def generic_rank(matrix: PolyMatrix) -> int:
     """Rank over the rational function field Q(x)."""
     if not matrix or not matrix[0]:
         return 0
-    return _sym_matrix(matrix).rank()
+    full = min(len(matrix), len(matrix[0]))
+    bound = sum(max(0, *(p.degree for p in column)) for column in zip(*matrix))
+    best = 0
+    for point in range(bound + 1):
+        values = [[p.evaluate(point) for p in row] for row in matrix]
+        best = max(best, rational_rank(values))
+        if best == full:
+            break
+    return best
+
+
+def _exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
+    quotient, remainder = divmod(p, q)
+    if not remainder.is_zero():
+        raise ArithmeticError("fraction-free elimination: inexact division")
+    return quotient
+
+
+def _echelon(matrix: PolyMatrix) -> tuple[list[int], list[int], int, UniPoly]:
+    """Fraction-free row echelon form of the matrix.
+
+    Returns the original index of each echelon row, the pivot columns,
+    the sign of the row permutation and the last pivot, which is the
+    determinant up to that sign when the matrix is square and nonsingular.
+    """
+    rows = [list(row) for row in matrix]
+    order = list(range(len(rows)))
+    pivots: list[int] = []
+    sign = 1
+    previous = _ONE
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            order[k], order[pivot] = order[pivot], order[k]
+            sign = -sign
+        top = rows[k]
+        for i in range(k + 1, len(rows)):
+            row = rows[i]
+            for j in range(col + 1, len(top)):
+                entry = top[col] * row[j] - row[col] * top[j]
+                row[j] = entry if previous == _ONE else _exact_quotient(entry, previous)
+            row[col] = UniPoly.zero()
+        previous = top[col]
+        pivots.append(col)
+    return order, pivots, sign, previous
 
 
 def determinant(matrix: PolyMatrix) -> UniPoly:
-    return from_expr(_sym_matrix(matrix).det(method="berkowitz"))
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    _, pivots, sign, last = _echelon(matrix)
+    if len(pivots) < n:
+        return UniPoly.zero()
+    return last if sign > 0 else -last
 
 
 def maximal_minors(matrix: PolyMatrix, size: int) -> dict[tuple[int, ...], UniPoly]:
     """All size x size minors, keyed by the chosen row index set (0-based)."""
-    sym = _sym_matrix(matrix)
-    rows, cols = sym.shape
+    cols = len(matrix[0]) if matrix else 0
     if cols != size:
         raise ValueError("minor size must equal the column count")
-    out = {}
-    for subset in combinations(range(rows), size):
-        sub = sym[list(subset), :]
-        out[subset] = from_expr(sub.det(method="berkowitz"))
-    return out
+    return {
+        subset: determinant([matrix[a] for a in subset])
+        for subset in combinations(range(len(matrix)), size)
+    }
 
 
 def generic_kernel(matrix: PolyMatrix) -> list[list[UniPoly]]:
     """Primitive polynomial basis columns of the kernel over Q(x)."""
-    sym = _sym_matrix(matrix)
+    order, pivots, _, _ = _echelon(matrix)
+    pivot_rows = [matrix[a] for a in order[: len(pivots)]]
+    block = [[row[p] for p in pivots] for row in pivot_rows]
     columns = []
-    for vec in sym.nullspace():
-        entries = [sympy.together(sympy.cancel(e)) for e in vec]
-        denoms = [sympy.denom(e) for e in entries]
-        common = sympy.lcm(denoms) if denoms else sympy.Integer(1)
-        polys = [sympy.expand(e * common) for e in entries]
-        content = sympy.gcd([p for p in polys if p != 0])
-        polys = [sympy.cancel(p / content) for p in polys]
-        columns.append([from_expr(p) for p in polys])
+    for free in range(len(matrix[0]) if matrix else 0):
+        if free in pivots:
+            continue
+        vector = [UniPoly.zero()] * len(matrix[0])
+        vector[free] = determinant(block)
+        for i, p in enumerate(pivots):
+            replaced = [
+                brow[:i] + [row[free]] + brow[i + 1 :]
+                for brow, row in zip(block, pivot_rows)
+            ]
+            vector[p] = -determinant(replaced)
+        columns.append(_primitive_column(vector, free))
     return columns
+
+
+def _primitive_column(vector: list[UniPoly], free: int) -> list[UniPoly]:
+    content = poly_content(vector)
+    vector = [_exact_quotient(p, content) for p in vector]
+    integral = iter(primitive_vector(c for p in vector for c in p.coefficients))
+    if vector[free].leading < 0:
+        integral = (-c for c in integral)
+    return [UniPoly(tuple(next(integral) for _ in p.coefficients)) for p in vector]
 
 
 def poly_content(polys: Sequence[UniPoly]) -> UniPoly:
     """Monic gcd of a family of polynomials (zero entries ignored)."""
-    exprs = [to_expr(p) for p in polys if not p.is_zero()]
-    if not exprs:
-        return UniPoly.zero()
-    return from_expr(sympy.gcd(exprs))
+    content = UniPoly.zero()
+    for p in polys:
+        content = poly_gcd(content, p)
+    return content

@@ -59,7 +59,7 @@ def _emit(document: Mapping[str, Any], pretty: bool) -> None:
 
 
 def _decode_model(payload: Mapping) -> list[dispo.ModelEntry]:
-    entries = payload.get("entries", [])
+    entries = payload["entries"]
     return [
         (
             jsonio.decode_filtration(entry["filtration"]),

@@ -7,6 +7,10 @@ tuple, so structural equality is semantic equality.
 
 The asymptotic order `poly_order` compares polynomials by their values at
 n >> 0: lexicographically from the highest-degree coefficient downward.
+
+`rational_rank` (Gaussian elimination over Q) and `primitive_vector`
+(the primitive integral multiple of a rational vector) are the one copy
+of each that the other modules use.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction, str]
@@ -190,3 +195,37 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if a.is_zero():
         return a
     return a.scale(Fraction(1) / a.leading)
+
+
+def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Rank over Q of a matrix of ints and Fractions, by Gaussian elimination."""
+    mat = [list(row) for row in rows if any(row)]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col]:
+                factor = Fraction(mat[i][col]) / top[col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], top)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def primitive_vector(values: Iterable[Union[int, Fraction]]) -> tuple[int, ...]:
+    """Smallest positive multiple of a rational vector that is integral.
+
+    The entries of the result have gcd 1 (the zero vector stays zero).
+    """
+    values = list(values)
+    denom = lcm(*(v.denominator for v in values))
+    ints = [int(v * denom) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(v // g for v in ints)
+    return tuple(ints)

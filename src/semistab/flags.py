@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     SingularMatrix,
     TrivialSubgroup,
 )
-from .exactmath import Rational, RationalLike, rational
+from .exactmath import RationalLike, primitive_vector, rational, rational_rank
 
 
 @dataclass(frozen=True)
@@ -145,16 +144,7 @@ def weight_vector_of_filtration(
 
 def integral_subgroup_of(vector: WeightVector) -> OneParamSubgroup:
     """Smallest positive integer multiple of the vector that is integral."""
-    denom = 1
-    for e in vector.entries:
-        denom = denom * e.denominator // gcd(denom, e.denominator)
-    ints = [int(e * denom) for e in vector.entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return OneParamSubgroup(tuple(ints))
+    return OneParamSubgroup(primitive_vector(vector.entries))
 
 
 def _check_matrix(lam: OneParamSubgroup, g: Sequence[Sequence[RationalLike]]):
@@ -162,31 +152,9 @@ def _check_matrix(lam: OneParamSubgroup, g: Sequence[Sequence[RationalLike]]):
     rows = [tuple(rational(x) for x in row) for row in g]
     if len(rows) != r or any(len(row) != r for row in rows):
         raise DimensionMismatch(f"matrix must be {r}x{r}")
-    if _det(rows) == 0:
+    if rational_rank(rows) < r:
         raise SingularMatrix("matrix is not invertible")
     return rows
-
-
-def _det(rows: list[tuple[Rational, ...]]) -> Rational:
-    n = len(rows)
-    mat = [list(row) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for i in range(col + 1, n):
-            factor = mat[i][col] * inv
-            if factor == 0:
-                continue
-            for j in range(col, n):
-                mat[i][j] -= factor * mat[col][j]
-    return det
 
 
 def parabolic_member(

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, TooLarge, TrivialSubgroup
-from .exactmath import RationalLike, rational
+from .exactmath import primitive_vector, rational
 from .feasibility import feasible_point
 from .flags import OneParamSubgroup, WeightedFlag, weighted_flag_of
 
@@ -133,15 +133,6 @@ class TorusVerdict:
     certificate: Optional[HullCertificate] = None
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
 def sum_zero_grid(r: int, radius: int = GRID_RADIUS):
     """All nonzero sum-zero integer vectors in {-radius..radius}^r."""
     for vec in itertools.product(range(-radius, radius + 1), repeat=r):
@@ -187,10 +178,10 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
     best = None
     for vec in sum_zero_grid(r):
         value = max(sum(g * w for g, w in zip(vec, weight)) for weight in weights)
-        if value >= 0:
+        if value >= 0 or (best_mu is not None and value > best_mu):
             continue
-        cand = _primitive(vec)
-        if best_mu is None or value < best_mu or (value == best_mu and cand < best):
+        cand = primitive_vector(vec)
+        if best_mu is None or value < best_mu or cand < best:
             best_mu = value
             best = cand
     if best is not None:
@@ -214,12 +205,8 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
     solution = feasible_point(rows, rhs)
     if solution is None:
         raise AssertionError("hull infeasible but no destabilizer found")
-    lam = [solution[a] - solution[r + a] for a in range(r)]
-    denom = 1
-    for value in lam:
-        denom = denom * value.denominator // gcd(denom, value.denominator)
-    ints = _primitive([int(value * denom) for value in lam])
-    return TorusVerdict(False, destabilizer=OneParamSubgroup(ints))
+    lam = primitive_vector(solution[a] - solution[r + a] for a in range(r))
+    return TorusVerdict(False, destabilizer=OneParamSubgroup(lam))
 
 
 def divided_power_dim(r: int, u: int) -> int:

@@ -8,8 +8,7 @@ structures with deterministic ordering.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .classical import (
     FlagStep,
@@ -20,16 +19,12 @@ from .classical import (
 )
 from .dispo import FiltrationData, FiltrationMember, NonvanishingProfile
 from .exactmath import UniPoly, format_rational, rational
-from .flags import OneParamSubgroup, WeightedFlag
+from .flags import OneParamSubgroup
 from .hilbert_mumford import RepPoint, TorusWeightRep
 
 
 def encode_rational(value) -> str:
     return format_rational(rational(value))
-
-
-def decode_rational(data) -> Fraction:
-    return rational(data)
 
 
 def encode_poly(p: UniPoly) -> list[str]:
@@ -48,23 +43,6 @@ def decode_subgroup(data: Sequence[int]) -> OneParamSubgroup:
     return OneParamSubgroup(tuple(int(w) for w in data))
 
 
-def encode_weighted_flag(flag: WeightedFlag) -> dict:
-    return {
-        "dims": list(flag.dims),
-        "alphas": [encode_rational(a) for a in flag.alphas],
-        "basis_order": list(flag.basis_order),
-    }
-
-
-def encode_rep(rep: TorusWeightRep) -> dict:
-    return {
-        "torus_rank": rep.torus_rank,
-        "basis": [
-            {"label": label, "weight": list(weight)} for label, weight in rep.basis
-        ],
-    }
-
-
 def decode_rep(data: Mapping) -> TorusWeightRep:
     return TorusWeightRep(
         int(data["torus_rank"]),
@@ -75,29 +53,10 @@ def decode_rep(data: Mapping) -> TorusWeightRep:
     )
 
 
-def encode_point(point: RepPoint) -> dict:
-    return {label: encode_rational(c) for label, c in point.coords}
-
-
 def decode_point(data: Mapping) -> RepPoint:
+    if not isinstance(data, Mapping):
+        raise TypeError("point must be a JSON object mapping labels to coordinates")
     return RepPoint(tuple((str(k), rational(v)) for k, v in data.items()))
-
-
-def encode_filtration(f: FiltrationData) -> dict:
-    return {
-        "r": f.total_rank,
-        "d": encode_rational(f.total_degree),
-        "P": encode_poly(f.total_hilb),
-        "members": [
-            {
-                "rank": m.rank,
-                "degree": encode_rational(m.degree),
-                "hilb": encode_poly(m.hilb),
-                "alpha": encode_rational(m.alpha),
-            }
-            for m in f.members
-        ],
-    }
 
 
 def decode_filtration(data: Mapping) -> FiltrationData:
@@ -131,14 +90,6 @@ def decode_profile(data: Mapping) -> NonvanishingProfile:
         int(data["tuple_len"]),
         frozenset(tuple(int(i) for i in t) for t in data["tuples"]),
     )
-
-
-def encode_form_bundle(fb: FormBundle) -> dict:
-    return {
-        "degrees": list(fb.model.summand_degrees),
-        "symmetry": fb.symmetry.value,
-        "entries": [[encode_poly(p) for p in row] for row in fb.entries],
-    }
 
 
 def decode_form_bundle(data: Mapping) -> FormBundle:

@@ -103,6 +103,26 @@ class TestExitCodes:
         result = run_cli(["bounds", "Q9"])
         assert result.returncode == 2
 
+    def test_point_not_an_object(self, tmp_path):
+        document = json.loads((GOLDEN / "destabilize_single.json").read_text())
+        document["payload"]["point"] = []
+        path = tmp_path / "point_list.json"
+        path.write_text(json.dumps(document))
+        result = run_cli(["destabilize", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_dispo_check_without_entries(self, tmp_path):
+        document = json.loads((GOLDEN / "dispocheck_kernel.json").read_text())
+        del document["payload"]["entries"]
+        path = tmp_path / "no_entries.json"
+        path.write_text(json.dumps(document))
+        result = run_cli(["dispo-check", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
 
 class TestDeterminismAndRoundTrip:
     def test_byte_determinism(self):
