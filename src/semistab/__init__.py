@@ -39,7 +39,6 @@ from .dispo import (
     mu_profile,
     slope_parameter,
     slope_semistable,
-    slopy_implication_check,
 )
 from .errors import SemistabError
 from .exactmath import Order, UniPoly, format_rational, is_positive, poly_order, rational
@@ -62,7 +61,6 @@ from .hilbert_mumford import (
     dd_module_dim,
     divided_power_dim,
     mu,
-    mu_flag_invariance_check,
     torus_destabilize,
     weighted_compositions,
 )

@@ -155,7 +155,9 @@ def _step_matrix(step: FlagStep, r: int) -> list[list[UniPoly]]:
     return [[column[a] for column in step.columns] for a in range(r)]
 
 
-@lru_cache(maxsize=4096)
+# Large enough for one exhaustive walk at EXHAUSTIVE_RANK_CAP (4,682 flags)
+# and its kernel flag, so a second walk over the same model hits every time.
+@lru_cache(maxsize=8192)
 def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
     r = model.rank
     ranks: list[int] = []
@@ -235,44 +237,54 @@ def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
 
 
 def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
-    """Which pairs of flag blocks the form does not vanish on (s = 2)."""
-    r = fb.model.rank
+    """Which pairs of flag blocks the form does not vanish on (s = 2).
+
+    With G_1, ..., G_t the generator matrices of the steps and G_{t+1} = I,
+    the pair (i, j), i <= j, is in the profile when G_i^T Phi G_j is not
+    identically zero.  For j <= t that means u . (Phi w) != 0 for some
+    generator u of step i and some generator w of step j, so Phi w is
+    computed once per generator of each step.  Phi is symmetric or
+    antisymmetric, so G_i^T Phi I = +-(Phi G_i)^T: the pair (i, t + 1) is
+    present exactly when Phi w != 0 for some generator w of step i.  The
+    pair (t + 1, t + 1) is Phi itself, which `FormBundle` requires to be
+    nonzero.
+    """
     _flag_ranks(fb.model, flag)
     t = flag.step_count
-    matrices = [_step_matrix(step, r) for step in flag.steps]
-    identity = [
-        [UniPoly.of(1) if a == b else UniPoly.zero() for b in range(r)]
-        for a in range(r)
-    ]
-    matrices.append(identity)
-    tuples = set()
-    for i in range(1, t + 2):
-        for j in range(i, t + 2):
-            if not _block_vanishes(fb.entries, matrices[i - 1], matrices[j - 1]):
+    images = [[_apply(fb.entries, w) for w in step.columns] for step in flag.steps]
+    tuples = {(t + 1, t + 1)}
+    for i, step in enumerate(flag.steps, start=1):
+        if any(not p.is_zero() for image in images[i - 1] for p in image):
+            tuples.add((i, t + 1))
+        for j in range(i, t + 1):
+            if any(
+                not _dot(u, image).is_zero()
+                for u in step.columns
+                for image in images[j - 1]
+            ):
                 tuples.add((i, j))
     return NonvanishingProfile(t, 2, frozenset(tuples))
 
 
-def _block_vanishes(entries, left, right) -> bool:
-    """Whether G_left^T Phi G_right is identically zero."""
-    r = len(entries)
-    phi_right_cols = []
-    for col in range(len(right[0])):
-        out = []
-        for a in range(r):
-            acc = UniPoly.zero()
-            for b in range(r):
-                acc = acc + entries[a][b] * right[b][col]
-            out.append(acc)
-        phi_right_cols.append(out)
-    for lcol in range(len(left[0])):
-        for rcol in range(len(right[0])):
-            acc = UniPoly.zero()
-            for a in range(r):
-                acc = acc + left[a][lcol] * phi_right_cols[rcol][a]
-            if not acc.is_zero():
-                return False
-    return True
+def _sum(terms) -> UniPoly:
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return UniPoly.zero() if total is None else total
+
+
+def _dot(u: Sequence[UniPoly], v: Sequence[UniPoly]) -> UniPoly:
+    """u . v, adding only the products whose factors are both nonzero."""
+    return _sum(p * q for p, q in zip(u, v) if not p.is_zero() and not q.is_zero())
+
+
+def _apply(entries, column: Sequence[UniPoly]) -> tuple[UniPoly, ...]:
+    """Phi w, adding only the products whose factors are both nonzero."""
+    support = [(b, q) for b, q in enumerate(column) if not q.is_zero()]
+    return tuple(
+        _sum(row[b] * q for b, q in support if not row[b].is_zero())
+        for row in entries
+    )
 
 
 def kernel_destabilizer(fb: FormBundle) -> Optional[SubsheafFlag]:

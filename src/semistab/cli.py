@@ -15,7 +15,6 @@ from typing import Any, Mapping, Optional, Sequence
 
 from . import classical, dispo, hilbert_mumford, jsonio, repdata
 from .errors import SemistabError
-from .exactmath import UniPoly, rational
 from .flags import OneParamSubgroup
 
 SCHEMA_VERSION = 1
@@ -115,7 +114,7 @@ def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
         delta = jsonio.decode_poly(payload["delta"])
         verdict = dispo.delta_semistable(model, delta, strict=args.strict)
     elif mode == "slope":
-        delta_bar = rational(payload["delta_bar"])
+        delta_bar = jsonio.decode_rational(payload["delta_bar"])
         verdict = dispo.slope_semistable(model, delta_bar, strict=args.strict)
     elif mode == "asymptotic":
         verdict = dispo.asymptotic_semistable(model, strict=args.strict)
@@ -160,7 +159,7 @@ def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _cmd_dualize(args: argparse.Namespace) -> tuple[dict, bool]:
     payload = _load_instance(args.input, "flags")
-    model = classical.SplitSheafModel(tuple(int(d) for d in payload["degrees"]))
+    model = jsonio.decode_model(payload["degrees"])
     flag = jsonio.decode_flag(payload["flag"])
     dual = classical.dualize_filtration(model, flag)
     return {"flag": jsonio.encode_flag(dual)}, False

@@ -202,20 +202,6 @@ def slope_parameter(delta: UniPoly, dim_x: int) -> Fraction:
     return factorial(dim_x - 1) * delta.coefficient(dim_x - 1)
 
 
-def slopy_implication_check(model: Sequence[ModelEntry], delta: UniPoly) -> bool:
-    """delta-semistable implies slope-semistable for the derived parameter.
-
-    The base dimension is read off as the degree of the total Hilbert
-    polynomial.  Must never return False on consistent filtration data.
-    """
-    if not model:
-        return True
-    dim_x = max(1, model[0][0].total_hilb.degree)
-    if not delta_semistable(model, delta).semistable:
-        return True
-    return slope_semistable(model, slope_parameter(delta, dim_x)).semistable
-
-
 def asymptotic_semistable(
     model: Sequence[ModelEntry], strict: bool = False
 ) -> Verdict:

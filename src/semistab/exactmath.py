@@ -153,10 +153,6 @@ class UniPoly:
     def to_json(self) -> list[str]:
         return [format_rational(c) for c in self.coefficients]
 
-    @staticmethod
-    def from_json(data: Iterable[RationalLike]) -> "UniPoly":
-        return UniPoly(tuple(rational(c) for c in data))
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, TooLarge, TrivialSubgroup
 from .exactmath import primitive_vector, rational
 from .feasibility import feasible_point
-from .flags import OneParamSubgroup, WeightedFlag, weighted_flag_of
+from .flags import OneParamSubgroup
 
 GRID_RADIUS = 3
 
@@ -34,6 +34,9 @@ class TorusWeightRep:
     def __post_init__(self) -> None:
         if not self.basis:
             raise DimensionMismatch("basis must be nonempty")
+        labels = [label for label, _ in self.basis]
+        if len(set(labels)) != len(labels):
+            raise DimensionMismatch(f"duplicate basis labels in {labels}")
         for label, weight in self.basis:
             if len(weight) != self.torus_rank:
                 raise DimensionMismatch(
@@ -80,29 +83,6 @@ def mu(rep: TorusWeightRep, lam: OneParamSubgroup, point: RepPoint) -> int:
     if lam.is_trivial():
         raise TrivialSubgroup("mu is only defined for nontrivial subgroups")
     return max(_pairing(lam, rep.weight_of(label)) for label in point.support)
-
-
-def _flags_equal(f1: WeightedFlag, f2: WeightedFlag) -> bool:
-    return (
-        f1.dims == f2.dims
-        and f1.alphas == f2.alphas
-        and f1.blocks() == f2.blocks()
-    )
-
-
-def mu_flag_invariance_check(
-    rep: TorusWeightRep,
-    lam1: OneParamSubgroup,
-    lam2: OneParamSubgroup,
-    point: RepPoint,
-) -> bool:
-    """Assert mu(lam1) == mu(lam2) whenever the weighted flags coincide.
-
-    Vacuously true when the flags differ; must never return False.
-    """
-    if not _flags_equal(weighted_flag_of(lam1), weighted_flag_of(lam2)):
-        return True
-    return mu(rep, lam1, point) == mu(rep, lam2, point)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,16 @@ Conventions: rationals are "p/q" strings ("p" when integral), polynomials
 are coefficient arrays with the constant term first, tuples of indices
 are arrays of integers.  All emitters produce plain JSON-compatible
 structures with deterministic ordering.
+
+Decoders read every integer through `decode_int` and every rational
+through `decode_rational`, so a JSON float or boolean is rejected
+instead of being truncated or coerced into the exact computation.
 """
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .classical import (
@@ -23,6 +29,28 @@ from .flags import OneParamSubgroup
 from .hilbert_mumford import RepPoint, TorusWeightRep
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def decode_int(value) -> int:
+    """A JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def decode_rational(value) -> Fraction:
+    """A JSON integer or a "p" / "p/q" string; floats and booleans are rejected."""
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f'expected an integer or a "p/q" string, got {value!r}')
+
+
 def encode_rational(value) -> str:
     return format_rational(rational(value))
 
@@ -32,7 +60,9 @@ def encode_poly(p: UniPoly) -> list[str]:
 
 
 def decode_poly(data: Sequence) -> UniPoly:
-    return UniPoly.from_json(data)
+    if not isinstance(data, list):
+        raise TypeError(f"a polynomial is an array of rationals, got {data!r}")
+    return UniPoly(tuple(decode_rational(c) for c in data))
 
 
 def encode_subgroup(lam: OneParamSubgroup) -> list[int]:
@@ -40,14 +70,14 @@ def encode_subgroup(lam: OneParamSubgroup) -> list[int]:
 
 
 def decode_subgroup(data: Sequence[int]) -> OneParamSubgroup:
-    return OneParamSubgroup(tuple(int(w) for w in data))
+    return OneParamSubgroup(tuple(decode_int(w) for w in data))
 
 
 def decode_rep(data: Mapping) -> TorusWeightRep:
     return TorusWeightRep(
-        int(data["torus_rank"]),
+        decode_int(data["torus_rank"]),
         tuple(
-            (str(item["label"]), tuple(int(w) for w in item["weight"]))
+            (str(item["label"]), tuple(decode_int(w) for w in item["weight"]))
             for item in data["basis"]
         ),
     )
@@ -56,20 +86,20 @@ def decode_rep(data: Mapping) -> TorusWeightRep:
 def decode_point(data: Mapping) -> RepPoint:
     if not isinstance(data, Mapping):
         raise TypeError("point must be a JSON object mapping labels to coordinates")
-    return RepPoint(tuple((str(k), rational(v)) for k, v in data.items()))
+    return RepPoint(tuple((str(k), decode_rational(v)) for k, v in data.items()))
 
 
 def decode_filtration(data: Mapping) -> FiltrationData:
     return FiltrationData(
-        int(data["r"]),
-        rational(data["d"]),
+        decode_int(data["r"]),
+        decode_rational(data["d"]),
         decode_poly(data["P"]),
         tuple(
             FiltrationMember(
-                int(m["rank"]),
-                rational(m["degree"]),
+                decode_int(m["rank"]),
+                decode_rational(m["degree"]),
                 decode_poly(m["hilb"]),
-                rational(m["alpha"]),
+                decode_rational(m["alpha"]),
             )
             for m in data["members"]
         ),
@@ -86,14 +116,18 @@ def encode_profile(p: NonvanishingProfile) -> dict:
 
 def decode_profile(data: Mapping) -> NonvanishingProfile:
     return NonvanishingProfile(
-        int(data["t"]),
-        int(data["tuple_len"]),
-        frozenset(tuple(int(i) for i in t) for t in data["tuples"]),
+        decode_int(data["t"]),
+        decode_int(data["tuple_len"]),
+        frozenset(tuple(decode_int(i) for i in t) for t in data["tuples"]),
     )
 
 
+def decode_model(degrees: Sequence) -> SplitSheafModel:
+    return SplitSheafModel(tuple(decode_int(d) for d in degrees))
+
+
 def decode_form_bundle(data: Mapping) -> FormBundle:
-    model = SplitSheafModel(tuple(int(d) for d in data["degrees"]))
+    model = decode_model(data["degrees"])
     symmetry = Symmetry(data["symmetry"])
     entries = tuple(
         tuple(decode_poly(p) for p in row) for row in data["entries"]
@@ -121,7 +155,7 @@ def decode_flag(data: Mapping) -> SubsheafFlag:
                     tuple(decode_poly(p) for p in column)
                     for column in step["generators"]
                 ),
-                rational(step["alpha"]),
+                decode_rational(step["alpha"]),
             )
             for step in data["steps"]
         )

@@ -18,6 +18,11 @@ from semistab import (
     RepPoint,
     TorusWeightRep,
     UniPoly,
+    delta_semistable,
+    mu,
+    slope_parameter,
+    slope_semistable,
+    weighted_flag_of,
 )
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
@@ -104,3 +109,31 @@ def random_rep(rng: random.Random, max_rank: int = 4, max_basis: int = 10):
         tuple((f"b{i}", random_positive_fraction(rng)) for i in sorted(support))
     )
     return rep, point
+
+
+# -- oracles shared by the property suites --------------------------------------
+
+
+def mu_flag_invariance_check(rep, lam1, lam2, point) -> bool:
+    """mu(lam1) == mu(lam2) whenever the two weighted flags coincide.
+
+    Vacuously true when the flags differ; must never return False.
+    """
+    f1, f2 = weighted_flag_of(lam1), weighted_flag_of(lam2)
+    if (f1.dims, f1.alphas, f1.blocks()) != (f2.dims, f2.alphas, f2.blocks()):
+        return True
+    return mu(rep, lam1, point) == mu(rep, lam2, point)
+
+
+def slopy_implication_check(model, delta) -> bool:
+    """delta-semistable implies slope-semistable for the derived parameter.
+
+    The base dimension is read off as the degree of the total Hilbert
+    polynomial.  Must never return False on consistent filtration data.
+    """
+    if not model:
+        return True
+    dim_x = max(1, model[0][0].total_hilb.degree)
+    if not delta_semistable(model, delta).semistable:
+        return True
+    return slope_semistable(model, slope_parameter(delta, dim_x)).semistable

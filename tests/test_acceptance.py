@@ -33,11 +33,9 @@ from semistab import (
     integral_subgroup_of,
     kernel_destabilizer,
     mu,
-    mu_flag_invariance_check,
     mu_profile,
     ramanathan_semistable,
     semistable_form,
-    slopy_implication_check,
     standard_weight_vector,
     torus_destabilize,
     weight_vector_of_filtration,
@@ -48,7 +46,14 @@ from semistab.classical import FormBundle, SplitSheafModel, Symmetry
 from semistab.hilbert_mumford import sum_zero_grid
 from semistab.repdata import CharCondition
 
-from conftest import random_filtration, random_profile, random_rep, run_semistab
+from conftest import (
+    mu_flag_invariance_check,
+    random_filtration,
+    random_profile,
+    random_rep,
+    run_semistab,
+    slopy_implication_check,
+)
 from test_classical import constant_form, flag_data
 
 GOLDEN = Path(__file__).parent / "golden"

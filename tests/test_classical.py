@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semistab import (
     EXHAUSTIVE,
@@ -29,6 +31,7 @@ from semistab import (
     saturation_degree,
     semistable_form,
 )
+from semistab.classical import EXHAUSTIVE_RANK_CAP, _flag_ranks
 from semistab.errors import DegenerateFlag, MalformedFlag, NotCoordinateFlag, TooLarge
 
 ONE = UniPoly.of(1)
@@ -181,6 +184,148 @@ class TestFormProfile:
         assert profile.tuples == frozenset({(1, 1)})
         data = filtration_data_of(SYMPLECTIC, SubsheafFlag(()))
         assert mu_profile(data, profile) == 0
+
+
+# -- form_profile against its definition, G_i^T Phi G_j by sympy ---------------
+
+SYMPY_X = sympy.Symbol("x")
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def to_sympy(p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * SYMPY_X**k for k, c in enumerate(p.coefficients)),
+        sympy.Integer(0),
+    )
+
+
+def profile_by_definition(fb, flag):
+    """Pairs i <= j <= t + 1 with G_i^T Phi G_j not identically zero, G_{t+1} = I."""
+    r = fb.model.rank
+    phi = sympy.Matrix([[to_sympy(p) for p in row] for row in fb.entries])
+    blocks = [
+        sympy.Matrix([[to_sympy(column[a]) for column in step.columns] for a in range(r)])
+        for step in flag.steps
+    ]
+    blocks.append(sympy.eye(r))
+    t = flag.step_count
+    return frozenset(
+        (i, j)
+        for i in range(1, t + 2)
+        for j in range(i, t + 2)
+        if any(sympy.expand(e) != 0 for e in blocks[i - 1].T * phi * blocks[j - 1])
+    )
+
+
+def polys(max_degree):
+    """Zero (one draw in three) or a polynomial of degree at most max_degree."""
+    if max_degree < 0:
+        return st.just(ZERO)
+    nonzero = st.lists(coefficient, min_size=1, max_size=max_degree + 1).map(
+        lambda cs: UniPoly(tuple(cs))
+    )
+    return st.one_of(st.just(ZERO), nonzero, nonzero)
+
+
+@st.composite
+def split_models(draw, max_rank=5):
+    r = draw(st.integers(2, max_rank))
+    degrees = draw(st.lists(st.integers(-1, 1), min_size=r - 1, max_size=r - 1))
+    return SplitSheafModel(tuple(degrees) + (-sum(degrees),))
+
+
+@st.composite
+def forms(draw, max_rank=5):
+    """A nonzero (anti)symmetric form with every entry inside its degree bound."""
+    model = draw(split_models(max_rank))
+    symmetry = draw(st.sampled_from(list(Symmetry)))
+    sign = 1 if symmetry is Symmetry.SYMMETRIC else -1
+    d = model.summand_degrees
+    r = model.rank
+    rows = [[ZERO] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(a if sign == 1 else a + 1, r):
+            rows[a][b] = draw(polys(-(d[a] + d[b])))
+            rows[b][a] = rows[a][b].scale(sign)
+    assume(any(not p.is_zero() for row in rows for p in row))
+    return FormBundle(model, symmetry, tuple(tuple(row) for row in rows))
+
+
+@st.composite
+def degenerate_forms(draw, max_rank=5):
+    """Phi = sum of v v^T (symmetric) or v w^T - w v^T (antisymmetric) of low rank.
+
+    Entry k of each vector has degree at most -d_k, so every entry of Phi
+    stays inside its degree bound.
+    """
+    model = draw(split_models(max_rank))
+    r = model.rank
+    symmetry = draw(st.sampled_from(list(Symmetry)))
+    assume(symmetry is Symmetry.SYMMETRIC or r >= 3)
+
+    def vector():
+        return [draw(polys(-d)) for d in model.summand_degrees]
+
+    rows = [[ZERO] * r for _ in range(r)]
+    if symmetry is Symmetry.SYMMETRIC:
+        for _ in range(draw(st.integers(1, r - 1))):
+            v, c = vector(), draw(st.sampled_from([-2, -1, 1, 2]))
+            for a in range(r):
+                for b in range(r):
+                    rows[a][b] = rows[a][b] + (v[a] * v[b]).scale(c)
+    else:
+        v, w = vector(), vector()
+        for a in range(r):
+            for b in range(r):
+                rows[a][b] = v[a] * w[b] - w[a] * v[b]
+    assume(any(not p.is_zero() for row in rows for p in row))
+    return FormBundle(model, symmetry, tuple(tuple(row) for row in rows))
+
+
+@st.composite
+def forms_with_nested_flags(draw):
+    """A form and a polynomial flag: step j + 1 spans step j and one new column."""
+    fb = draw(forms())
+    r = fb.model.rank
+    column = st.lists(polys(2), min_size=r, max_size=r).map(tuple)
+    first = draw(st.lists(column, min_size=1, max_size=min(2, r - 1)))
+    extra = draw(st.lists(column, min_size=0, max_size=r - 1 - len(first)))
+    columns = first + extra
+    # Full rank at x = 7 implies full generic rank: every step is a valid flag step.
+    at_seven = sympy.Matrix([[c[a].evaluate(7) for c in columns] for a in range(r)])
+    assume(at_seven.rank() == len(columns))
+    steps = tuple(
+        FlagStep(tuple(columns[: len(first) + k]), Fraction(1))
+        for k in range(len(extra) + 1)
+    )
+    return fb, SubsheafFlag(steps)
+
+
+class TestFormProfileOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(forms(), st.data())
+    def test_coordinate_flags(self, fb, data):
+        flag = data.draw(st.sampled_from(enumerate_coordinate_flags(fb.model.rank)))
+        assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_forms())
+    def test_kernel_flags(self, fb):
+        flag = kernel_destabilizer(fb)
+        assume(flag is not None)
+        assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
+
+    @settings(max_examples=60, deadline=None)
+    @given(forms_with_nested_flags())
+    def test_nested_polynomial_flags(self, case):
+        fb, flag = case
+        assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
+
+
+def test_rank_cache_holds_a_capped_walk():
+    """A second exhaustive walk at the rank cap finds every flag still cached."""
+    walk = enumerate_coordinate_flags(EXHAUSTIVE_RANK_CAP)
+    assert _flag_ranks.cache_info().maxsize > len(walk) + 1
 
 
 class TestKernelDestabilizer:

@@ -113,6 +113,17 @@ class TestExitCodes:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
 
+    def test_polynomial_not_an_array(self, tmp_path):
+        """A string was read character by character: "22" became 2 + 2n."""
+        document = json.loads((GOLDEN / "mu_symplectic.json").read_text())
+        document["payload"]["filtration"]["P"] = "22"
+        path = tmp_path / "poly_string.json"
+        path.write_text(json.dumps(document))
+        result = run_cli(["mu", "--kind", "dispo", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
     def test_dispo_check_without_entries(self, tmp_path):
         document = json.loads((GOLDEN / "dispocheck_kernel.json").read_text())
         del document["payload"]["entries"]
@@ -122,6 +133,46 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
+
+
+def _set_weight(value):
+    def mutate(payload):
+        payload["rep"]["basis"][0]["weight"] = value
+    return mutate
+
+
+def _set_point(value):
+    def mutate(payload):
+        payload["point"] = value
+    return mutate
+
+
+def _duplicate_label(payload):
+    payload["rep"]["basis"][1]["label"] = "e1"
+
+
+# Each shape used to return the golden verdict (the zero denominator a
+# traceback with exit 1) instead of exit 2.
+REJECTED_TORUS_INPUTS = {
+    "float_weight": _set_weight([1.7, 0]),
+    "bool_weight": _set_weight([True, 0]),
+    "float_coordinate": _set_point({"e1": 0.5}),
+    "decimal_string_coordinate": _set_point({"e1": "0.5"}),
+    "zero_denominator": _set_point({"e1": "1/0"}),
+    "duplicate_label": _duplicate_label,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REJECTED_TORUS_INPUTS))
+def test_rejected_torus_input(shape, tmp_path):
+    document = json.loads((GOLDEN / "destabilize_single.json").read_text())
+    REJECTED_TORUS_INPUTS[shape](document["payload"])
+    path = tmp_path / f"{shape}.json"
+    path.write_text(json.dumps(document))
+    result = run_cli(["destabilize", "--input", str(path)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
 
 
 class TestDeterminismAndRoundTrip:

@@ -21,11 +21,10 @@ from semistab import (
     mu_profile,
     slope_parameter,
     slope_semistable,
-    slopy_implication_check,
 )
 from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 
-from conftest import random_filtration, random_profile
+from conftest import random_filtration, random_profile, slopy_implication_check
 
 
 def rank2_filtration(d_total=0, d_sub=0, alpha=1):

@@ -13,14 +13,13 @@ from semistab import (
     dd_module_dim,
     divided_power_dim,
     mu,
-    mu_flag_invariance_check,
     torus_destabilize,
     weighted_compositions,
 )
 from semistab.errors import DimensionMismatch, TooLarge, TrivialSubgroup
 from semistab.hilbert_mumford import sum_zero_grid
 
-from conftest import random_rep
+from conftest import mu_flag_invariance_check, random_rep
 
 STANDARD = TorusWeightRep(2, (("e1", (1, 0)), ("e2", (0, 1))))
 FULL = RepPoint((("e1", Fraction(1)), ("e2", Fraction(1))))
