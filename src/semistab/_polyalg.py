@@ -11,7 +11,8 @@ of M(c) is never above the rank of M over Q(x); and a nonzero minor of
 size rank(M) has at most D roots, so it is nonzero at one of the D + 1
 points x = 0, 1, ..., D.  The largest `Fraction`-elimination rank over
 those points is therefore the generic rank, exactly and without
-randomness.  A matrix of constants (D = 0) takes one elimination.
+randomness.  A matrix of constants (D = 0) takes one elimination, and
+at x = 0 every entry is read off as its constant term.
 
 Determinants and minors come from fraction-free elimination with row
 swaps (Bareiss, Math. Comp. 22, 1968): every division is exact, and its
@@ -48,7 +49,10 @@ def generic_rank(matrix: PolyMatrix) -> int:
     bound = sum(max(0, *(p.degree for p in column)) for column in zip(*matrix))
     best = 0
     for point in range(bound + 1):
-        values = [[p.evaluate(point) for p in row] for row in matrix]
+        values = [
+            [p.evaluate(point) if point else p.coefficient(0) for p in row]
+            for row in matrix
+        ]
         best = max(best, rational_rank(values))
         if best == full:
             break
@@ -93,6 +97,11 @@ def _echelon(matrix: PolyMatrix) -> tuple[list[int], list[int], int, UniPoly]:
         previous = top[col]
         pivots.append(col)
     return order, pivots, sign, previous
+
+
+def independent_columns(matrix: PolyMatrix) -> list[int]:
+    """Indices of the greedy independent columns over Q(x): the echelon pivots."""
+    return _echelon(matrix)[1]
 
 
 def determinant(matrix: PolyMatrix) -> UniPoly:

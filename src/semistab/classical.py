@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import _polyalg
 from .dispo import (
     FiltrationData,
     FiltrationMember,
     NonvanishingProfile,
+    asymptotic_sign,
+    first_violation,
     functional_L,
-    functional_M,
     mu_profile,
 )
 from .errors import (
@@ -31,9 +32,13 @@ from .errors import (
     NotCoordinateFlag,
     TooLarge,
 )
-from .exactmath import Order, RationalLike, UniPoly, poly_order, rational
+from .exactmath import RationalLike, UniPoly, rational
 
 EXHAUSTIVE_RANK_CAP = 6
+
+# Shared by every coordinate flag; `UniPoly` is frozen.
+_ONE = UniPoly.of(1)
+_ZERO = UniPoly.zero()
 
 
 class Symmetry(enum.Enum):
@@ -138,9 +143,7 @@ def coordinate_flag(
     for subset, alpha in zip(chain, alphas):
         columns = []
         for k in sorted(subset):
-            column = tuple(
-                UniPoly.of(1) if a == k else UniPoly.zero() for a in range(1, r + 1)
-            )
+            column = tuple(_ONE if a == k else _ZERO for a in range(1, r + 1))
             columns.append(column)
         steps.append(FlagStep(tuple(columns), rational(alpha)))
     return SubsheafFlag(tuple(steps))
@@ -191,33 +194,19 @@ def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
     subsets S of (sum of summand degrees over S) minus deg of the
     reduced minor.
     """
-    r = model.rank
-    matrix = _step_matrix(step, r)
-    m = _polyalg.generic_rank(matrix)
-    if m == 0:
+    matrix = _step_matrix(step, model.rank)
+    basis = _polyalg.independent_columns(matrix)
+    if not basis:
         raise DegenerateFlag("generator matrix has generic rank zero")
-    if m < len(step.columns):
-        # Drop dependent columns so the minors are those of a basis.
-        kept: list[tuple[UniPoly, ...]] = []
-        for column in step.columns:
-            trial = kept + [column]
-            trial_matrix = [[col[a] for col in trial] for a in range(r)]
-            if _polyalg.generic_rank(trial_matrix) == len(trial):
-                kept = trial
-        matrix = [[col[a] for col in kept] for a in range(r)]
-    minors = _polyalg.maximal_minors(matrix, m)
+    # The minors are those of a basis: the independent columns only.
+    matrix = [[row[c] for c in basis] for row in matrix]
+    minors = _polyalg.maximal_minors(matrix, len(basis))
     content = _polyalg.poly_content(list(minors.values()))
-    best = None
-    for subset, minor in minors.items():
-        if minor.is_zero():
-            continue
-        twist = sum(model.summand_degrees[a] for a in subset)
-        value = twist - (minor.degree - content.degree)
-        if best is None or value < best:
-            best = value
-    if best is None:
-        raise DegenerateFlag("generator matrix has generic rank zero")
-    return best
+    return min(
+        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
+        for subset, minor in minors.items()
+        if not minor.is_zero()
+    )
 
 
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
@@ -345,42 +334,46 @@ def _gather_flags(fb: FormBundle, flag_source: FlagSource) -> list[SubsheafFlag]
         flags = enumerate_coordinate_flags(fb.model.rank)
     else:
         flags = list(flag_source)
+        if any(not flag.steps for flag in flags):
+            raise MalformedFlag("a supplied flag needs at least one step")
     kernel = kernel_destabilizer(fb)
     if kernel is not None:
         flags = [kernel] + flags
     return flags
 
 
+Sign = Callable[[FiltrationData, NonvanishingProfile], Fraction]
+
+
+def _walk(fb: FormBundle, flag_source: FlagSource, sign: Sign, strict: bool) -> FormVerdict:
+    """The dispo violation rule over the gathered flags, each scored when reached."""
+    flags = _gather_flags(fb, flag_source)
+    verdict = first_violation(
+        (sign(filtration_data_of(fb, flag), form_profile(fb, flag)) for flag in flags),
+        strict,
+    )
+    if verdict.semistable:
+        return FormVerdict(True)
+    return FormVerdict(False, flags[verdict.witness_index])
+
+
 def semistable_form(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
     """Asymptotic semistability over the gathered flag set (kernel injected)."""
-    for flag in _gather_flags(fb, flag_source):
-        data = filtration_data_of(fb, flag)
-        profile = form_profile(fb, flag)
-        value = mu_profile(data, profile)
-        if value < 0:
-            return FormVerdict(False, flag)
-        if value == 0:
-            order = poly_order(functional_M(data), UniPoly.zero())
-            if order is Order.LESS or (strict and order is Order.EQUAL):
-                return FormVerdict(False, flag)
-    return FormVerdict(True)
+    return _walk(fb, flag_source, asymptotic_sign, strict)
+
+
+def _ramanathan_sign(data: FiltrationData, profile: NonvanishingProfile) -> Fraction:
+    """L where mu vanishes; elsewhere nothing is required, so a positive sign."""
+    return Fraction(1) if mu_profile(data, profile) != 0 else functional_L(data)
 
 
 def ramanathan_semistable(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
     """L (>=) 0 over every gathered flag whose mu vanishes."""
-    for flag in _gather_flags(fb, flag_source):
-        data = filtration_data_of(fb, flag)
-        profile = form_profile(fb, flag)
-        if mu_profile(data, profile) != 0:
-            continue
-        value = functional_L(data)
-        if value < 0 or (strict and value == 0):
-            return FormVerdict(False, flag)
-    return FormVerdict(True)
+    return _walk(fb, flag_source, _ramanathan_sign, strict)
 
 
 def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:
@@ -395,7 +388,7 @@ def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:
                 for a, p in enumerate(column)
                 if not p.is_zero()
             ]
-            if len(hits) != 1 or column[hits[0] - 1] != UniPoly.of(1):
+            if len(hits) != 1 or column[hits[0] - 1] != _ONE:
                 raise NotCoordinateFlag(
                     "generators must be standard basis vectors"
                 )

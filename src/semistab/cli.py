@@ -244,10 +244,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         document, failed = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SemistabError as exc:
+    except (InputError, SemistabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:

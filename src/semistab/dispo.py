@@ -14,11 +14,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 from .exactmath import Order, UniPoly, is_positive, poly_order, rational
-from .flags import weight_vector_of_filtration
 
 
 @dataclass(frozen=True)
@@ -131,19 +130,17 @@ def functional_L(filtration: FiltrationData) -> Fraction:
 
 
 def block_weights(filtration: FiltrationData) -> tuple[Fraction, ...]:
-    """Distinct values of the associated weight vector, ascending (t+1 of them)."""
-    if not filtration.members:
-        return (Fraction(0),)
-    vector = weight_vector_of_filtration(
-        [m.rank for m in filtration.members],
-        [m.alpha for m in filtration.members],
-        filtration.total_rank,
-    )
-    out = []
-    for e in vector.entries:
-        if not out or e != out[-1]:
-            out.append(e)
-    return tuple(out)
+    """Distinct values of the associated weight vector, ascending (t+1 of them).
+
+    The j-th standard weight vector is rk_j - r on the first rk_j basis
+    vectors and rk_j after them, so block b (0 <= b <= t) of their
+    alpha-weighted sum is sum_j alpha_j rk_j - r sum_{j > b} alpha_j.
+    """
+    r = filtration.total_rank
+    weights = [sum((m.alpha * m.rank for m in filtration.members), Fraction(0))]
+    for m in reversed(filtration.members):
+        weights.append(weights[-1] - r * m.alpha)
+    return tuple(reversed(weights))
 
 
 def mu_profile(
@@ -169,32 +166,42 @@ class Verdict:
     witness_index: Optional[int] = None
 
 
-def delta_semistable(
-    model: Sequence[ModelEntry], delta: UniPoly, strict: bool = False
-) -> Verdict:
-    """M + delta * mu (>=) 0 over every supplied filtration."""
-    if not is_positive(delta):
-        raise InvalidDelta("delta must be asymptotically positive")
-    for index, (filtration, profile) in enumerate(model):
-        value = functional_M(filtration) + delta.scale(mu_profile(filtration, profile))
-        order = poly_order(value, UniPoly.zero())
-        if order is Order.LESS or (strict and order is Order.EQUAL):
+def first_violation(signs: Iterable[Fraction], strict: bool = False) -> Verdict:
+    """The violation rule of every verdict: the first sign < 0, or = 0 when strict.
+
+    Entries after the witness are never drawn from `signs`.
+    """
+    for index, sign in enumerate(signs):
+        if sign < 0 or (strict and sign == 0):
             return Verdict(False, index)
     return Verdict(True)
 
 
+def delta_semistable(
+    model: Iterable[ModelEntry], delta: UniPoly, strict: bool = False
+) -> Verdict:
+    """M + delta * mu (>=) 0 over every supplied filtration."""
+    if not is_positive(delta):
+        raise InvalidDelta("delta must be asymptotically positive")
+    values = (
+        functional_M(filtration) + delta.scale(mu_profile(filtration, profile))
+        for filtration, profile in model
+    )
+    return first_violation((value.leading for value in values), strict)
+
+
 def slope_semistable(
-    model: Sequence[ModelEntry], delta_bar: Fraction, strict: bool = False
+    model: Iterable[ModelEntry], delta_bar: Fraction, strict: bool = False
 ) -> Verdict:
     """L + delta_bar * mu (>=) 0 over every supplied filtration."""
     delta_bar = rational(delta_bar)
     if delta_bar < 0:
         raise InvalidDelta("delta_bar must be nonnegative")
-    for index, (filtration, profile) in enumerate(model):
-        value = functional_L(filtration) + delta_bar * mu_profile(filtration, profile)
-        if value < 0 or (strict and value == 0):
-            return Verdict(False, index)
-    return Verdict(True)
+    values = (
+        functional_L(filtration) + delta_bar * mu_profile(filtration, profile)
+        for filtration, profile in model
+    )
+    return first_violation(values, strict)
 
 
 def slope_parameter(delta: UniPoly, dim_x: int) -> Fraction:
@@ -202,19 +209,19 @@ def slope_parameter(delta: UniPoly, dim_x: int) -> Fraction:
     return factorial(dim_x - 1) * delta.coefficient(dim_x - 1)
 
 
+def asymptotic_sign(filtration: FiltrationData, profile: NonvanishingProfile) -> Fraction:
+    """Sign of (mu, M) in lexicographic order: mu, or M's leading term where mu = 0."""
+    value = mu_profile(filtration, profile)
+    return value if value != 0 else functional_M(filtration).leading
+
+
 def asymptotic_semistable(
-    model: Sequence[ModelEntry], strict: bool = False
+    model: Iterable[ModelEntry], strict: bool = False
 ) -> Verdict:
     """mu >= 0 everywhere, and M (>=) 0 wherever mu = 0."""
-    for index, (filtration, profile) in enumerate(model):
-        value = mu_profile(filtration, profile)
-        if value < 0:
-            return Verdict(False, index)
-        if value == 0:
-            order = poly_order(functional_M(filtration), UniPoly.zero())
-            if order is Order.LESS or (strict and order is Order.EQUAL):
-                return Verdict(False, index)
-    return Verdict(True)
+    return first_violation(
+        (asymptotic_sign(filtration, profile) for filtration, profile in model), strict
+    )
 
 
 def admissible_deformation(

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction, str]
 
 
@@ -63,10 +62,6 @@ class UniPoly:
     @staticmethod
     def of(*coefficients: RationalLike) -> "UniPoly":
         return UniPoly(tuple(rational(c) for c in coefficients))
-
-    @staticmethod
-    def constant(value: RationalLike) -> "UniPoly":
-        return UniPoly.of(value)
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -149,9 +144,6 @@ class UniPoly:
                 rem[shift + i] -= factor * c
             rem.pop()
         return UniPoly(tuple(quot)), UniPoly(tuple(rem))
-
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coefficients]
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -40,9 +40,6 @@ class OneParamSubgroup:
     def is_trivial(self) -> bool:
         return len(set(self.weights)) <= 1
 
-    def negate(self) -> "OneParamSubgroup":
-        return OneParamSubgroup(tuple(-w for w in self.weights))
-
 
 @dataclass(frozen=True)
 class WeightedFlag:

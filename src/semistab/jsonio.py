@@ -56,7 +56,7 @@ def encode_rational(value) -> str:
 
 
 def encode_poly(p: UniPoly) -> list[str]:
-    return p.to_json()
+    return [format_rational(c) for c in p.coefficients]
 
 
 def decode_poly(data: Sequence) -> UniPoly:

@@ -14,16 +14,29 @@ import semistab
 from semistab import (
     FiltrationData,
     FiltrationMember,
+    FormVerdict,
     NonvanishingProfile,
+    Order,
     RepPoint,
     TorusWeightRep,
     UniPoly,
+    Verdict,
     delta_semistable,
+    filtration_data_of,
+    form_profile,
+    functional_L,
+    functional_M,
+    is_positive,
     mu,
+    mu_profile,
+    poly_order,
+    rational,
     slope_parameter,
     slope_semistable,
     weighted_flag_of,
 )
+from semistab.classical import EXHAUSTIVE, _gather_flags
+from semistab.errors import InvalidDelta
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
 # in-tree run, ``site-packages`` for an installed one.
@@ -137,3 +150,69 @@ def slopy_implication_check(model, delta) -> bool:
     if not delta_semistable(model, delta).semistable:
         return True
     return slope_semistable(model, slope_parameter(delta, dim_x)).semistable
+
+
+# -- the verdict loops as first written, one per verdict -------------------------
+#
+# Each states the violation rule in its own loop; the library now states it
+# once, in `dispo.first_violation`.  Verdicts and witnesses must agree.
+
+
+def oracle_delta_semistable(model, delta, strict=False):
+    if not is_positive(delta):
+        raise InvalidDelta("delta must be asymptotically positive")
+    for index, (filtration, profile) in enumerate(model):
+        value = functional_M(filtration) + delta.scale(mu_profile(filtration, profile))
+        order = poly_order(value, UniPoly.zero())
+        if order is Order.LESS or (strict and order is Order.EQUAL):
+            return Verdict(False, index)
+    return Verdict(True)
+
+
+def oracle_slope_semistable(model, delta_bar, strict=False):
+    delta_bar = rational(delta_bar)
+    if delta_bar < 0:
+        raise InvalidDelta("delta_bar must be nonnegative")
+    for index, (filtration, profile) in enumerate(model):
+        value = functional_L(filtration) + delta_bar * mu_profile(filtration, profile)
+        if value < 0 or (strict and value == 0):
+            return Verdict(False, index)
+    return Verdict(True)
+
+
+def oracle_asymptotic_semistable(model, strict=False):
+    for index, (filtration, profile) in enumerate(model):
+        value = mu_profile(filtration, profile)
+        if value < 0:
+            return Verdict(False, index)
+        if value == 0:
+            order = poly_order(functional_M(filtration), UniPoly.zero())
+            if order is Order.LESS or (strict and order is Order.EQUAL):
+                return Verdict(False, index)
+    return Verdict(True)
+
+
+def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
+    for flag in _gather_flags(fb, flag_source):
+        data = filtration_data_of(fb, flag)
+        profile = form_profile(fb, flag)
+        value = mu_profile(data, profile)
+        if value < 0:
+            return FormVerdict(False, flag)
+        if value == 0:
+            order = poly_order(functional_M(data), UniPoly.zero())
+            if order is Order.LESS or (strict and order is Order.EQUAL):
+                return FormVerdict(False, flag)
+    return FormVerdict(True)
+
+
+def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
+    for flag in _gather_flags(fb, flag_source):
+        data = filtration_data_of(fb, flag)
+        profile = form_profile(fb, flag)
+        if mu_profile(data, profile) != 0:
+            continue
+        value = functional_L(data)
+        if value < 0 or (strict and value == 0):
+            return FormVerdict(False, flag)
+    return FormVerdict(True)

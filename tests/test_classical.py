@@ -34,6 +34,8 @@ from semistab import (
 from semistab.classical import EXHAUSTIVE_RANK_CAP, _flag_ranks
 from semistab.errors import DegenerateFlag, MalformedFlag, NotCoordinateFlag, TooLarge
 
+from conftest import oracle_ramanathan_semistable, oracle_semistable_form
+
 ONE = UniPoly.of(1)
 ZERO = UniPoly.zero()
 X = UniPoly.x()
@@ -417,6 +419,48 @@ class TestSemistableForm:
             semi = semistable_form(fb).semistable
             raman = ramanathan_semistable(fb).semistable
             assert (not stable or semi) and (not semi or raman)
+
+
+    def test_walk_stops_at_the_witness(self):
+        """Flags after the witness are never scored: a full-rank step would raise."""
+        fb = constant_form(TRIVIAL_2, Symmetry.SYMMETRIC, [[1, 0], [0, 0]])
+        full_rank = coordinate_flag([[1, 2]], r=2)
+        with pytest.raises(DegenerateFlag):
+            filtration_data_of(fb, full_rank)
+        verdict = semistable_form(fb, [full_rank])
+        assert verdict.witness == kernel_destabilizer(fb)
+
+
+@st.composite
+def weighted_coordinate_flags(draw, r):
+    """A chain of coordinate subsets of 1..r with random positive alphas."""
+    order = draw(st.permutations(range(1, r + 1)))
+    sizes = sorted(draw(st.sets(st.integers(1, r - 1), min_size=1)))
+    alpha = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+    alphas = draw(st.lists(alpha, min_size=len(sizes), max_size=len(sizes)))
+    return coordinate_flag([sorted(order[:size]) for size in sizes], alphas, r=r)
+
+
+class TestVerdictOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(forms(max_rank=4), degenerate_forms(max_rank=4)), st.data())
+    def test_match_the_first_loops(self, fb, data):
+        """Verdict and witness agree with the two loops that each stated the rule.
+
+        The flags are the exhaustive walk or supplied weighted coordinate
+        flags; a degenerate form gets its kernel flag first either way.
+        """
+        if data.draw(st.booleans()):
+            source = EXHAUSTIVE
+        else:
+            source = data.draw(st.lists(weighted_coordinate_flags(fb.model.rank), max_size=6))
+        for strict in (False, True):
+            assert semistable_form(fb, source, strict) == oracle_semistable_form(
+                fb, source, strict
+            )
+            assert ramanathan_semistable(fb, source, strict) == oracle_ramanathan_semistable(
+                fb, source, strict
+            )
 
 
 class TestRamanathan:

@@ -134,6 +134,18 @@ class TestExitCodes:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
+    def test_flag_without_steps(self, strict, tmp_path):
+        """The trivial flag has mu = M = L = 0: under --strict it was a witness."""
+        document = json.loads((GOLDEN / "formcheck_symplectic.json").read_text())
+        document["payload"]["flags"] = [{"steps": []}]
+        path = tmp_path / "empty_flag.json"
+        path.write_text(json.dumps(document))
+        result = run_cli(["form-check", *strict, "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
 
 def _set_weight(value):
     def mutate(payload):

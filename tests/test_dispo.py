@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistab import (
     FiltrationData,
@@ -21,10 +23,19 @@ from semistab import (
     mu_profile,
     slope_parameter,
     slope_semistable,
+    weight_vector_of_filtration,
 )
 from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 
-from conftest import random_filtration, random_profile, slopy_implication_check
+from conftest import (
+    oracle_asymptotic_semistable,
+    oracle_delta_semistable,
+    oracle_slope_semistable,
+    random_filtration,
+    random_positive_fraction,
+    random_profile,
+    slopy_implication_check,
+)
 
 
 def rank2_filtration(d_total=0, d_sub=0, alpha=1):
@@ -139,6 +150,22 @@ class TestMuProfile:
         with pytest.raises(ProfileMismatch):
             mu_profile(rank2_filtration(), full_profile(2, 2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_weights_closed_form(self, data):
+        """The closed form equals the distinct entries of the weight vector."""
+        r = data.draw(st.integers(2, 9))
+        ranks = sorted(data.draw(st.sets(st.integers(1, r - 1))))
+        alpha = st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6)
+        alphas = data.draw(st.lists(alpha, min_size=len(ranks), max_size=len(ranks)))
+        members = tuple(
+            FiltrationMember(k, Fraction(0), UniPoly.of(k, k), a)
+            for k, a in zip(ranks, alphas)
+        )
+        filtration = FiltrationData(r, Fraction(0), UniPoly.of(r, r), members)
+        entries = weight_vector_of_filtration(ranks, alphas, r).entries
+        assert block_weights(filtration) == tuple(dict.fromkeys(entries))
+
     def test_matches_oracle(self):
         rng = random.Random(999)
         for _ in range(100):
@@ -201,6 +228,86 @@ class TestVerdicts:
                 entries.append((f, random_profile(rng, f.steps, rng.randint(1, 3))))
             delta = UniPoly.of(Fraction(rng.randint(1, 9), rng.randint(1, 3)))
             assert slopy_implication_check(entries, delta)
+
+
+def boundary_entry(rng):
+    """A self-dual filtration and the pairs whose block weights sum to >= 0.
+
+    Ranks rk and r - rk come together with equal alphas, so the block
+    weights are antisymmetric and the pair (1, t + 1) sums to zero: mu = 0
+    exactly, and the sign of M (degrees in -1..1) decides.
+    """
+    r = rng.randint(2, 6)
+    half = rng.sample(range(1, r // 2 + 1), rng.randint(1, r // 2))
+    alpha = {k: random_positive_fraction(rng) for k in half}
+    members = []
+    for k in sorted(set(half) | {r - k for k in half}):
+        dj = rng.randint(-1, 1)
+        members.append(
+            FiltrationMember(k, Fraction(dj), UniPoly.of(dj + k, k), alpha[min(k, r - k)])
+        )
+    filtration = FiltrationData(r, Fraction(0), UniPoly.of(r, r), tuple(members))
+    gamma = block_weights(filtration)
+    t = filtration.steps
+    pairs = frozenset(
+        (i, j)
+        for i in range(1, t + 2)
+        for j in range(i, t + 2)
+        if gamma[i - 1] + gamma[j - 1] >= 0
+    )
+    return filtration, NonvanishingProfile(t, 2, pairs)
+
+
+def random_entry(rng):
+    if rng.random() < 0.5:
+        return boundary_entry(rng)
+    f = random_filtration(rng)
+    return f, random_profile(rng, f.steps, rng.randint(1, 3))
+
+
+class TestVerdictOracles:
+    def test_boundary_entries_have_mu_zero(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            assert mu_profile(*boundary_entry(rng)) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_match_the_first_loops(self, rng, strict):
+        """Verdict and witness agree with the loops that each stated the rule."""
+        model = [random_entry(rng) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            delta = UniPoly.of(rng.randint(-2, 2), rng.randint(1, 2))
+        else:
+            delta = UniPoly.of(random_positive_fraction(rng))
+        delta_bar = rng.choice([Fraction(0), random_positive_fraction(rng)])
+        assert delta_semistable(model, delta, strict) == oracle_delta_semistable(
+            model, delta, strict
+        )
+        assert slope_semistable(model, delta_bar, strict) == oracle_slope_semistable(
+            model, delta_bar, strict
+        )
+        assert asymptotic_semistable(model, strict) == oracle_asymptotic_semistable(
+            model, strict
+        )
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            lambda model: delta_semistable(model, UniPoly.of(1)),
+            lambda model: slope_semistable(model, Fraction(1)),
+            asymptotic_semistable,
+        ],
+        ids=["delta", "slope", "asymptotic"],
+    )
+    def test_stream_not_drawn_past_the_witness(self, verdict):
+        def stream():
+            yield rank2_filtration(), full_profile(1, 2)
+            yield rank2_filtration(), KERNEL_PROFILE
+            raise AssertionError("verdict drew an entry past its witness")
+
+        result = verdict(stream())
+        assert not result.semistable and result.witness_index == 1
 
 
 class TestDeformation:
