@@ -6,6 +6,14 @@ through its nonvanishing profile, the set of index tuples on which it
 does not vanish.  Everything downstream of that (the M and L
 functionals, mu, the delta/slope/asymptotic verdicts, admissible
 deformations) is exact arithmetic on these data.
+
+A profile is upward closed exactly when it is closed under covers, the
+moves raising one t_k by 1 that keep the tuple sorted and in range:
+  * Closure by covers.  Take sorted t <= u and raise the last k with
+    t_k < u_k; the result stays sorted and <= u, so covers reach u from t.
+  * No hang.  The input profile is upward closed, so the closure of any
+    of its tuples lies inside it: a deformation is never larger than its
+    input, and validation and closure are linear in the number of tuples.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ class NonvanishingProfile:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        top = (self.steps + 1,) * self.tuple_len
         tuples = frozenset(tuple(sorted(t)) for t in self.tuples)
         object.__setattr__(self, "tuples", tuples)
         for t in tuples:
@@ -84,22 +91,23 @@ class NonvanishingProfile:
                 raise ProfileMismatch(f"tuple {t} has length {len(t)}, expected {self.tuple_len}")
             if any(not 1 <= i <= self.steps + 1 for i in t):
                 raise ProfileMismatch(f"tuple {t} leaves the alphabet 1..{self.steps + 1}")
-        if top not in tuples:
+        # Built only once a tuple has shown tuple_len to be no longer than the input.
+        if not tuples or (self.steps + 1,) * self.tuple_len not in tuples:
             raise ProfileMismatch("profile must contain the all-top tuple")
         for t in tuples:
-            for u in _dominating_tuples(t, self.steps + 1):
+            for u in _covers(t, self.steps + 1):
                 if u not in tuples:
                     raise ProfileMismatch(
-                        f"profile is not upward closed: {t} present but {u} missing"
+                        f"profile is not upward closed: {t} present, its cover {u} missing"
                     )
 
 
-def _dominating_tuples(t: tuple[int, ...], top: int):
-    """All sorted tuples componentwise >= the sorted tuple t."""
-    ranges = [range(i, top + 1) for i in t]
-    for cand in itertools.product(*ranges):
-        if all(cand[k] <= cand[k + 1] for k in range(len(cand) - 1)):
-            yield cand
+def _covers(t: tuple[int, ...], top: int):
+    """The sorted tuples that raise one entry of the sorted tuple t by 1."""
+    last = len(t) - 1
+    for k, i in enumerate(t):
+        if i < top and (k == last or i < t[k + 1]):
+            yield t[:k] + (i + 1,) + t[k + 1 :]
 
 
 def full_profile(steps: int, tuple_len: int) -> NonvanishingProfile:
@@ -229,8 +237,8 @@ def admissible_deformation(
 ) -> NonvanishingProfile:
     """Profile of the associated graded decoration.
 
-    Keeps exactly the tuples achieving the minimal weight sum, then takes
-    the upward closure; preserves M and mu and is idempotent.
+    Keeps exactly the tuples achieving the minimal weight sum, then closes
+    them under covers; preserves M and mu and is idempotent.
     """
     if profile.steps != filtration.steps:
         raise ProfileMismatch(
@@ -239,8 +247,10 @@ def admissible_deformation(
     gamma = block_weights(filtration)
     sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
     minimum = min(sums.values())
-    kept = [t for t, s in sums.items() if s == minimum]
-    closed = set()
-    for t in kept:
-        closed.update(_dominating_tuples(t, profile.steps + 1))
+    stack = [t for t, s in sums.items() if s == minimum]
+    closed = set(stack)
+    while stack:
+        fresh = set(_covers(stack.pop(), profile.steps + 1)) - closed
+        closed |= fresh
+        stack.extend(fresh)
     return NonvanishingProfile(profile.steps, profile.tuple_len, frozenset(closed))

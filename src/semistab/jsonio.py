@@ -24,6 +24,7 @@ from .classical import (
     Symmetry,
 )
 from .dispo import FiltrationData, FiltrationMember, NonvanishingProfile
+from .errors import MalformedFiltration
 from .exactmath import UniPoly, format_rational, rational
 from .flags import OneParamSubgroup
 from .hilbert_mumford import RepPoint, TorusWeightRep
@@ -90,6 +91,8 @@ def decode_point(data: Mapping) -> RepPoint:
 
 
 def decode_filtration(data: Mapping) -> FiltrationData:
+    if not data["members"]:
+        raise MalformedFiltration("a dispo filtration needs at least one member")
     return FiltrationData(
         decode_int(data["r"]),
         decode_rational(data["d"]),

@@ -21,6 +21,7 @@ from semistab import (
     TorusWeightRep,
     UniPoly,
     Verdict,
+    block_weights,
     delta_semistable,
     filtration_data_of,
     form_profile,
@@ -100,13 +101,9 @@ def random_profile(
     universe = list(itertools.combinations_with_replacement(alphabet, tuple_len))
     seeds = rng.sample(universe, rng.randint(0, min(3, len(universe))))
     seeds.append((steps + 1,) * tuple_len)
-    closed = set()
-    for seed in seeds:
-        ranges = [range(i, steps + 2) for i in seed]
-        for cand in itertools.product(*ranges):
-            if all(cand[k] <= cand[k + 1] for k in range(tuple_len - 1)):
-                closed.add(cand)
-    return NonvanishingProfile(steps, tuple_len, frozenset(closed))
+    return NonvanishingProfile(
+        steps, tuple_len, oracle_upward_closure(seeds, steps, tuple_len)
+    )
 
 
 def random_rep(rng: random.Random, max_rank: int = 4, max_basis: int = 10):
@@ -150,6 +147,37 @@ def slopy_implication_check(model, delta) -> bool:
     if not delta_semistable(model, delta).semistable:
         return True
     return slope_semistable(model, slope_parameter(delta, dim_x)).semistable
+
+
+def oracle_upward_closure(seeds, steps: int, tuple_len: int) -> frozenset:
+    """Sorted tuples over 1..steps+1 dominating some seed, by enumeration.
+
+    Walks every word over the alphabet; independent of the cover moves
+    that `semistab.dispo` closes and validates profiles with.
+    """
+    seeds = list(seeds)
+    return frozenset(
+        u
+        for u in itertools.product(range(1, steps + 2), repeat=tuple_len)
+        if list(u) == sorted(u)
+        and any(all(a <= b for a, b in zip(t, u)) for t in seeds)
+    )
+
+
+def oracle_profile_accepts(steps: int, tuple_len: int, tuples: frozenset) -> bool:
+    """Whether sorted tuples hold the all-top tuple and equal their brute-force closure."""
+    return (steps + 1,) * tuple_len in tuples and tuples == oracle_upward_closure(
+        tuples, steps, tuple_len
+    )
+
+
+def oracle_deformation(filtration, profile) -> frozenset:
+    """Brute-force upward closure of the profile's minimal-weight tuples."""
+    gamma = block_weights(filtration)
+    sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
+    minimum = min(sums.values())
+    kept = [t for t, s in sums.items() if s == minimum]
+    return oracle_upward_closure(kept, profile.steps, profile.tuple_len)
 
 
 # -- the verdict loops as first written, one per verdict -------------------------

@@ -134,6 +134,30 @@ class TestExitCodes:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("dispocheck_kernel.json", ["dispo-check"]),
+            ("dispocheck_kernel.json", ["dispo-check", "--strict"]),
+            ("mu_symplectic.json", ["mu", "--kind", "dispo"]),
+            ("deform_three.json", ["deform"]),
+        ],
+        ids=["check-plain", "check-strict", "mu", "deform"],
+    )
+    def test_filtration_without_members(self, golden, args, tmp_path):
+        """The trivial filtration has mu = M = L = 0: under --strict it was a witness."""
+        document = json.loads((GOLDEN / golden).read_text())
+        payload = document["payload"]
+        for entry in payload.get("entries", [payload]):
+            entry["filtration"]["members"] = []
+            entry["profile"] = {"t": 0, "tuple_len": 2, "tuples": [[1, 1]]}
+        path = tmp_path / "no_members.json"
+        path.write_text(json.dumps(document))
+        result = run_cli([*args, "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: a dispo filtration needs at least one member\n"
+
     @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
     def test_flag_without_steps(self, strict, tmp_path):
         """The trivial flag has mu = M = L = 0: under --strict it was a witness."""

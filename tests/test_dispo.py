@@ -1,7 +1,10 @@
 """Filtration functionals, profile mu, verdicts, and deformations."""
 
 import itertools
+import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,8 +32,11 @@ from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 
 from conftest import (
     oracle_asymptotic_semistable,
+    oracle_deformation,
     oracle_delta_semistable,
+    oracle_profile_accepts,
     oracle_slope_semistable,
+    oracle_upward_closure,
     random_filtration,
     random_positive_fraction,
     random_profile,
@@ -85,6 +91,16 @@ class TestValidation:
         with pytest.raises(ProfileMismatch):
             NonvanishingProfile(1, 2, frozenset({(1, 1)}))
 
+    def test_top_tuple_not_built_from_a_bare_length(self):
+        """An empty set is rejected without a tuple of the declared length."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProfileMismatch, match="all-top tuple"):
+                NonvanishingProfile(1, 10**7, frozenset())
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
+
     def test_profile_upward_closed(self):
         with pytest.raises(ProfileMismatch):
             NonvanishingProfile(1, 2, frozenset({(1, 1), (2, 2)}))
@@ -96,6 +112,29 @@ class TestValidation:
     def test_tuples_sorted_on_intake(self):
         p = NonvanishingProfile(1, 2, frozenset({(2, 1), (2, 2)}))
         assert p.tuples == frozenset({(1, 2), (2, 2)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_the_closed_sets(self, data):
+        """Cover moves accept exactly the sets equal to their brute-force closure."""
+        steps = data.draw(st.integers(0, 3))
+        tuple_len = data.draw(st.integers(1, 5))
+        universe = sorted(
+            itertools.combinations_with_replacement(range(1, steps + 2), tuple_len)
+        )
+        tuples = data.draw(st.sets(st.sampled_from(universe), max_size=8))
+        if data.draw(st.booleans()):
+            # Close the draw, then perhaps punch holes: near misses.
+            holes = data.draw(st.sets(st.sampled_from(universe), max_size=2))
+            tuples = set(oracle_upward_closure(tuples, steps, tuple_len)) - holes
+        top = (steps + 1,) * tuple_len
+        tuples = frozenset(tuples | {top} if data.draw(st.booleans()) else tuples - {top})
+        try:
+            NonvanishingProfile(steps, tuple_len, tuples)
+            accepted = True
+        except ProfileMismatch:
+            accepted = False
+        assert accepted == oracle_profile_accepts(steps, tuple_len, tuples)
 
 
 class TestFunctionals:
@@ -333,3 +372,56 @@ class TestDeformation:
             assert mu_profile(f, deformed) == mu_profile(f, profile)
             assert functional_M(f) == functional_M(f)  # M ignores the profile
             assert admissible_deformation(f, deformed) == deformed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_brute_force_closure(self, rng):
+        """Exactly the upward closure of the minimal-weight tuples, none dropped."""
+        # One step or length one makes the sorted tuples a chain; skip those.
+        steps = rng.randint(2, 3)
+        r = rng.randint(steps + 1, steps + 3)
+        members = tuple(
+            FiltrationMember(k, Fraction(0), UniPoly.of(k, k), Fraction(rng.randint(1, 3)))
+            for k in sorted(rng.sample(range(1, r), steps))
+        )
+        f = FiltrationData(r, Fraction(0), UniPoly.of(r, r), members)
+        tuple_len = rng.randint(2, 4)
+        universe = list(
+            itertools.combinations_with_replacement(range(1, steps + 2), tuple_len)
+        )
+        # Distinct sorted tuples of one sum are incomparable, so the closure of
+        # the lightest misses the others; equal alphas make ties.
+        levels = {}
+        for t in universe:
+            levels.setdefault(sum(t), []).append(t)
+        level = rng.choice([ts for ts in levels.values() if len(ts) > 1])
+        seeds = rng.sample(level, rng.randint(2, min(4, len(level))))
+        seeds += rng.sample(universe, rng.randint(0, 2))
+        closure = oracle_upward_closure(seeds + [universe[-1]], steps, tuple_len)
+        profile = NonvanishingProfile(steps, tuple_len, closure)
+        deformed = admissible_deformation(f, profile)
+        assert deformed.tuples == oracle_deformation(f, profile)
+
+
+class TestSize:
+    """Sizes at which enumerating every dominating tuple did not finish."""
+
+    def test_full_profile_6_8(self):
+        full = full_profile(6, 8)
+        assert len(full.tuples) == math.comb(14, 8) == 3003
+        alphas = [Fraction(k, 3) for k in range(1, 7)]
+        members = tuple(
+            FiltrationMember(k, Fraction(0), UniPoly.of(k, k), a)
+            for k, a in zip(range(1, 7), alphas)
+        )
+        f = FiltrationData(7, Fraction(0), UniPoly.of(7, 7), members)
+        # The all-bottom tuple weighs 8 * (sum_j alpha_j rk_j - r sum_j alpha_j).
+        bottom = sum(a * k for k, a in zip(range(1, 7), alphas)) - 7 * sum(alphas)
+        assert mu_profile(f, full) == -8 * bottom
+        assert admissible_deformation(f, full) == full
+
+    def test_missing_cover_named(self):
+        """Dropping one tuple of the 3,003 is reported as that missing cover."""
+        missing = (1, 2, 2, 3, 4, 5, 6, 7)
+        with pytest.raises(ProfileMismatch, match=re.escape(f"its cover {missing} missing")):
+            NonvanishingProfile(6, 8, full_profile(6, 8).tuples - {missing})
