@@ -1,30 +1,22 @@
 """Exact linear algebra over Q[x] and Q(x), written on `UniPoly`.
 
 The classical module needs generic ranks, determinants, maximal minors,
-kernel bases over Q(x) and the content of a family of minors.
+kernel bases over Q(x) and the content of a family of minors.  All of
+them come from one elimination, `_echelon`: fraction-free row reduction
+with row swaps (Bareiss, Math. Comp. 22, 1968).  Every division in it is
+exact, and its remainder is checked to be zero.
 
-Rank by evaluation.  Let D be the sum over the columns of the largest
-entry degree in the column (0 for a constant or zero column).  A minor
-is a signed sum of products with one entry from each of its columns, so
-its degree is at most D.  Evaluation at x = c is a ring map, so the rank
-of M(c) is never above the rank of M over Q(x); and a nonzero minor of
-size rank(M) has at most D roots, so it is nonzero at one of the D + 1
-points x = 0, 1, ..., D.  The largest `Fraction`-elimination rank over
-those points is therefore the generic rank, exactly and without
-randomness.  A matrix of constants (D = 0) takes one elimination, and
-at x = 0 every entry is read off as its constant term.
+- The pivot columns are the greedy independent columns over Q(x), so the
+  rank is the number of pivots.
+- The last pivot is the determinant up to the sign of the row swaps.
+- Minors are determinants of row subsets.
 
-Determinants and minors come from fraction-free elimination with row
-swaps (Bareiss, Math. Comp. 22, 1968): every division is exact, and its
-remainder is checked to be zero.
-
-Kernel basis.  The pivot columns are the greedy independent columns and
-the pivot rows are the rows the echelon form takes its pivots from, so
-the pivot block A is nonsingular.  For each non-pivot column f, in
-increasing order, Cramer's rule on A gives the kernel vector that is
-det A at f and zero at every other non-pivot column: the reduced row
-echelon nullspace vector times det A.  It is then scaled to be
-primitive in Z[x]: its entries have polynomial gcd 1 and integer
+Kernel basis.  The pivot rows are the rows the echelon form takes its
+pivots from, so the pivot block A is nonsingular.  For each non-pivot
+column f, in increasing order, Cramer's rule on A gives the kernel
+vector that is det A at f and zero at every other non-pivot column: the
+reduced row echelon nullspace vector times det A.  It is then scaled to
+be primitive in Z[x]: its entries have polynomial gcd 1 and integer
 content 1, and the leading coefficient of its entry at f is positive.
 That picks one vector on the line, independently of how it was found.
 """
@@ -34,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .exactmath import UniPoly, poly_gcd, primitive_vector, rational_rank
+from .exactmath import UniPoly, poly_gcd, primitive_vector
 
 PolyMatrix = Sequence[Sequence[UniPoly]]
 
@@ -42,21 +34,8 @@ _ONE = UniPoly.of(1)
 
 
 def generic_rank(matrix: PolyMatrix) -> int:
-    """Rank over the rational function field Q(x)."""
-    if not matrix or not matrix[0]:
-        return 0
-    full = min(len(matrix), len(matrix[0]))
-    bound = sum(max(0, *(p.degree for p in column)) for column in zip(*matrix))
-    best = 0
-    for point in range(bound + 1):
-        values = [
-            [p.evaluate(point) if point else p.coefficient(0) for p in row]
-            for row in matrix
-        ]
-        best = max(best, rational_rank(values))
-        if best == full:
-            break
-    return best
+    """Rank over the rational function field Q(x): the number of echelon pivots."""
+    return len(_echelon(matrix)[1])
 
 
 def _exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:

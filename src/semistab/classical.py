@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Callable, Optional, Sequence, Union
 
 from . import _polyalg
@@ -53,7 +54,7 @@ class SplitSheafModel:
     summand_degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = tuple(int(d) for d in self.summand_degrees)
+        degrees = tuple(index(d) for d in self.summand_degrees)
         if sum(degrees) != 0:
             raise MalformedFlag(f"summand degrees must sum to zero: {degrees}")
         object.__setattr__(self, "summand_degrees", degrees)
@@ -118,6 +119,11 @@ class FlagStep:
             raise MalformedFlag("alpha must be positive")
         if not self.columns:
             raise MalformedFlag("a flag step needs at least one generator")
+        # Steps key the rank caches, so hash the polynomial columns once.
+        object.__setattr__(self, "_hash", hash((self.columns, self.alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -158,16 +164,49 @@ def _step_matrix(step: FlagStep, r: int) -> list[list[UniPoly]]:
     return [[column[a] for column in step.columns] for a in range(r)]
 
 
-# Large enough for one exhaustive walk at EXHAUSTIVE_RANK_CAP (4,682 flags)
-# and its kernel flag, so a second walk over the same model hits every time.
-@lru_cache(maxsize=8192)
+# Keyed by step and by consecutive pair, not by flag: a step enters only
+# through its rank and saturation degree, and steps repeat across flags
+# (62 steps and 602 pairs in the 4,682 flags at r = 6).  Pairs suffice:
+# while each step's span contains the one before it, steps 1..i-1 span
+# what step i-1 spans, so the first failing step and its error are those
+# of a check against all the earlier columns.
+@lru_cache(maxsize=4096)
+def _step_invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[int]]:
+    """Generic rank and saturation degree of one step (degree None at rank 0).
+
+    With the content g of the maximal minors removed, the degree is the
+    minimum over row subsets S of (sum of summand degrees over S) minus
+    deg of the reduced minor.
+    """
+    matrix = _step_matrix(step, model.rank)
+    basis = _polyalg.independent_columns(matrix)
+    if not basis:
+        return 0, None
+    # The minors are those of a basis: the independent columns only.
+    matrix = [[row[c] for c in basis] for row in matrix]
+    minors = _polyalg.maximal_minors(matrix, len(basis))
+    content = _polyalg.poly_content(list(minors.values()))
+    degree = min(
+        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
+        for subset, minor in minors.items()
+        if not minor.is_zero()
+    )
+    return len(basis), degree
+
+
+@lru_cache(maxsize=4096)
+def _nested(model: SplitSheafModel, lower: FlagStep, upper: FlagStep) -> bool:
+    """Whether the span of `lower` lies in the span of `upper` over Q(x)."""
+    columns = lower.columns + upper.columns
+    joint = [[column[a] for column in columns] for a in range(model.rank)]
+    return _polyalg.generic_rank(joint) == _step_invariants(model, upper)[0]
+
+
 def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
     r = model.rank
     ranks: list[int] = []
-    previous_columns: tuple = ()
-    for step in flag.steps:
-        matrix = _step_matrix(step, r)
-        rank = _polyalg.generic_rank(matrix)
+    for i, step in enumerate(flag.steps):
+        rank = _step_invariants(model, step)[0]
         if ranks and rank <= ranks[-1]:
             raise DegenerateFlag(
                 f"generic ranks collapse: {ranks + [rank]} not strictly increasing"
@@ -176,37 +215,18 @@ def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
             raise DegenerateFlag(
                 f"step rank {rank} must lie strictly between 0 and {r}"
             )
-        if previous_columns:
-            joint = [[col[a] for col in previous_columns + step.columns] for a in range(r)]
-            if _polyalg.generic_rank(joint) != rank:
-                raise MalformedFlag("flag steps are not nested")
-        previous_columns = previous_columns + step.columns
+        if i and not _nested(model, flag.steps[i - 1], step):
+            raise MalformedFlag("flag steps are not nested")
         ranks.append(rank)
     return tuple(ranks)
 
 
-@lru_cache(maxsize=4096)
 def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
-    """Degree of the saturation of the subsheaf generated by the columns.
-
-    Computed from the primitive vector of maximal minors: with the
-    polynomial content g removed, the degree is the minimum over row
-    subsets S of (sum of summand degrees over S) minus deg of the
-    reduced minor.
-    """
-    matrix = _step_matrix(step, model.rank)
-    basis = _polyalg.independent_columns(matrix)
-    if not basis:
+    """Degree of the saturation of the subsheaf generated by the columns."""
+    degree = _step_invariants(model, step)[1]
+    if degree is None:
         raise DegenerateFlag("generator matrix has generic rank zero")
-    # The minors are those of a basis: the independent columns only.
-    matrix = [[row[c] for c in basis] for row in matrix]
-    minors = _polyalg.maximal_minors(matrix, len(basis))
-    content = _polyalg.poly_content(list(minors.values()))
-    return min(
-        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
-        for subset, minor in minors.items()
-        if not minor.is_zero()
-    )
+    return degree
 
 
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
@@ -307,13 +327,13 @@ def _coordinate_flags_cached(r: int) -> tuple[SubsheafFlag, ...]:
     for size in range(1, r):
         for combo in combinations(range(1, r + 1), size):
             subsets.append(frozenset(combo))
+    # One step object per subset, shared by every flag through it.
+    steps = {s: coordinate_flag([sorted(s)], r=r).steps[0] for s in subsets}
     flags = []
 
     def extend(chain: list[frozenset]) -> None:
         if chain:
-            flags.append(
-                coordinate_flag([sorted(s) for s in chain], r=r)
-            )
+            flags.append(SubsheafFlag(tuple(steps[s] for s in chain)))
         start = subsets.index(chain[-1]) + 1 if chain else 0
         for s in subsets[start:]:
             if not chain or (chain[-1] < s):

@@ -24,7 +24,14 @@ class InputError(Exception):
     """Malformed instance file (exit code 2)."""
 
 
-def _load_instance(path: Optional[str], expected_kind: str) -> Mapping:
+def _reject_unknown(mapping: Mapping, allowed: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(mapping).difference(allowed))
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r} in the {where}")
+
+
+def _load_instance(path: Optional[str], expected_kind: str, keys: tuple[str, ...]) -> Mapping:
+    """The payload, once the envelope and the payload are known to hold only known keys."""
     try:
         if path is None or path == "-":
             data = json.load(sys.stdin)
@@ -35,6 +42,7 @@ def _load_instance(path: Optional[str], expected_kind: str) -> Mapping:
         raise InputError(f"cannot read instance file: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("instance file must be a JSON object")
+    _reject_unknown(data, ("schema_version", "kind", "payload"), "instance file")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise InputError(
             f"unsupported schema_version {data.get('schema_version')!r}, "
@@ -46,6 +54,7 @@ def _load_instance(path: Optional[str], expected_kind: str) -> Mapping:
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise InputError("payload must be a JSON object")
+    _reject_unknown(payload, keys, "payload")
     return payload
 
 
@@ -70,13 +79,13 @@ def _decode_model(payload: Mapping) -> list[dispo.ModelEntry]:
 
 def _cmd_mu(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.kind == "torus_rep":
-        payload = _load_instance(args.input, "torus_rep")
+        payload = _load_instance(args.input, "torus_rep", ("rep", "point", "lambda"))
         rep = jsonio.decode_rep(payload["rep"])
         lam = jsonio.decode_subgroup(payload["lambda"])
         point = jsonio.decode_point(payload["point"])
         value = hilbert_mumford.mu(rep, lam, point)
     else:
-        payload = _load_instance(args.input, "dispo")
+        payload = _load_instance(args.input, "dispo", ("filtration", "profile"))
         filtration = jsonio.decode_filtration(payload["filtration"])
         profile = jsonio.decode_profile(payload["profile"])
         value = dispo.mu_profile(filtration, profile)
@@ -84,7 +93,7 @@ def _cmd_mu(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_destabilize(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "torus_rep")
+    payload = _load_instance(args.input, "torus_rep", ("rep", "point"))
     rep = jsonio.decode_rep(payload["rep"])
     point = jsonio.decode_point(payload["point"])
     verdict = hilbert_mumford.torus_destabilize(rep, point)
@@ -107,7 +116,7 @@ def _cmd_destabilize(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "dispo")
+    payload = _load_instance(args.input, "dispo", ("entries", "mode", "delta", "delta_bar"))
     model = _decode_model(payload)
     mode = payload.get("mode", "asymptotic")
     if mode == "delta":
@@ -126,7 +135,7 @@ def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_deform(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "dispo")
+    payload = _load_instance(args.input, "dispo", ("filtration", "profile"))
     filtration = jsonio.decode_filtration(payload["filtration"])
     profile = jsonio.decode_profile(payload["profile"])
     deformed = dispo.admissible_deformation(filtration, profile)
@@ -134,7 +143,7 @@ def _cmd_deform(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "form_bundle")
+    payload = _load_instance(args.input, "form_bundle", ("form", "check", "flags"))
     fb = jsonio.decode_form_bundle(payload["form"])
     if "flags" in payload:
         source: classical.FlagSource = [
@@ -158,7 +167,7 @@ def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_dualize(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "flags")
+    payload = _load_instance(args.input, "flags", ("degrees", "flag"))
     model = jsonio.decode_model(payload["degrees"])
     flag = jsonio.decode_flag(payload["flag"])
     dual = classical.dualize_filtration(model, flag)

@@ -8,9 +8,8 @@ tuple, so structural equality is semantic equality.
 The asymptotic order `poly_order` compares polynomials by their values at
 n >> 0: lexicographically from the highest-degree coefficient downward.
 
-`rational_rank` (Gaussian elimination over Q) and `primitive_vector`
-(the primitive integral multiple of a rational vector) are the one copy
-of each that the other modules use.
+`primitive_vector` (the primitive integral multiple of a rational
+vector) is the one copy that the other modules use.
 """
 
 from __future__ import annotations
@@ -19,17 +18,19 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
 
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to a Fraction; floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(f"a float is not an exact rational: {value!r}")
     return Fraction(str(value))
 
 
@@ -183,26 +184,6 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     if a.is_zero():
         return a
     return a.scale(Fraction(1) / a.leading)
-
-
-def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank over Q of a matrix of ints and Fractions, by Gaussian elimination."""
-    mat = [list(row) for row in rows if any(row)]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                factor = Fraction(mat[i][col]) / top[col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], top)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 def primitive_vector(values: Iterable[Union[int, Fraction]]) -> tuple[int, ...]:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
+from . import _polyalg
 from .errors import (
     DimensionMismatch,
     MalformedFiltration,
@@ -18,7 +20,7 @@ from .errors import (
     SingularMatrix,
     TrivialSubgroup,
 )
-from .exactmath import RationalLike, primitive_vector, rational, rational_rank
+from .exactmath import RationalLike, UniPoly, primitive_vector, rational
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class OneParamSubgroup:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(index(w) for w in self.weights)
         if sum(weights) != 0:
             raise MalformedFiltration(f"weights must sum to zero: {weights}")
         object.__setattr__(self, "weights", weights)
@@ -121,7 +123,8 @@ def weight_vector_of_filtration(
     ranks: Sequence[int], alphas: Sequence[RationalLike], r: int
 ) -> WeightVector:
     """Associated weight vector: the alpha-weighted sum of standard weight vectors."""
-    ranks = tuple(int(k) for k in ranks)
+    ranks = tuple(index(k) for k in ranks)
+    r = index(r)
     alphas = tuple(rational(a) for a in alphas)
     if len(ranks) != len(alphas):
         raise MalformedFiltration("ranks and alphas must have equal length")
@@ -149,7 +152,7 @@ def _check_matrix(lam: OneParamSubgroup, g: Sequence[Sequence[RationalLike]]):
     rows = [tuple(rational(x) for x in row) for row in g]
     if len(rows) != r or any(len(row) != r for row in rows):
         raise DimensionMismatch(f"matrix must be {r}x{r}")
-    if rational_rank(rows) < r:
+    if _polyalg.determinant([[UniPoly((x,)) for x in row] for row in rows]).is_zero():
         raise SingularMatrix("matrix is not invertible")
     return rows
 

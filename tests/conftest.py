@@ -37,7 +37,7 @@ from semistab import (
     weighted_flag_of,
 )
 from semistab.classical import EXHAUSTIVE, _gather_flags
-from semistab.errors import InvalidDelta
+from semistab.errors import DegenerateFlag, InvalidDelta, MalformedFlag
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
 # in-tree run, ``site-packages`` for an installed one.
@@ -122,6 +122,11 @@ def random_rep(rng: random.Random, max_rank: int = 4, max_basis: int = 10):
 
 
 # -- oracles shared by the property suites --------------------------------------
+
+
+def grid_vectors(r: int) -> list[tuple[int, ...]]:
+    """The nonzero sum-zero vectors of {-3..3}^r, enumerated here, not by the library."""
+    return [v for v in itertools.product(range(-3, 4), repeat=r) if any(v) and sum(v) == 0]
 
 
 def mu_flag_invariance_check(rep, lam1, lam2, point) -> bool:
@@ -244,3 +249,48 @@ def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
         if value < 0 or (strict and value == 0):
             return FormVerdict(False, flag)
     return FormVerdict(True)
+
+
+def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
+    """Step ranks by sympy, each step checked against every column before it.
+
+    The checks run in the order rank collapse, rank out of range, not
+    nested, and raise the library's errors with its messages.
+    """
+    import sympy
+
+    x = sympy.Symbol("x")
+    r = model.rank
+
+    def rank(columns):
+        return sympy.Matrix(
+            [
+                [
+                    sum(
+                        (sympy.Rational(c.numerator, c.denominator) * x**k
+                         for k, c in enumerate(column[a].coefficients)),
+                        sympy.Integer(0),
+                    )
+                    for column in columns
+                ]
+                for a in range(r)
+            ]
+        ).rank()
+
+    ranks: list[int] = []
+    accumulated: tuple = ()
+    for step in flag.steps:
+        step_rank = rank(step.columns)
+        if ranks and step_rank <= ranks[-1]:
+            raise DegenerateFlag(
+                f"generic ranks collapse: {ranks + [step_rank]} not strictly increasing"
+            )
+        if not 0 < step_rank < r:
+            raise DegenerateFlag(
+                f"step rank {step_rank} must lie strictly between 0 and {r}"
+            )
+        if accumulated and rank(accumulated + step.columns) != step_rank:
+            raise MalformedFlag("flag steps are not nested")
+        accumulated += step.columns
+        ranks.append(step_rank)
+    return tuple(ranks)

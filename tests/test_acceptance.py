@@ -43,10 +43,10 @@ from semistab import (
     weighted_flag_of,
 )
 from semistab.classical import FormBundle, SplitSheafModel, Symmetry
-from semistab.hilbert_mumford import sum_zero_grid
 from semistab.repdata import CharCondition
 
 from conftest import (
+    grid_vectors,
     mu_flag_invariance_check,
     random_filtration,
     random_profile,
@@ -169,7 +169,7 @@ def test_instability_oracle():
         weights = [rep.weight_of(label) for label in point.support]
         grid_best = min(
             max(sum(g * w for g, w in zip(vec, weight)) for weight in weights)
-            for vec in sum_zero_grid(rep.torus_rank)
+            for vec in grid_vectors(rep.torus_rank)
         )
         if grid_best < 0:
             ok = ok and not verdict.semistable

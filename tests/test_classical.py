@@ -31,10 +31,16 @@ from semistab import (
     saturation_degree,
     semistable_form,
 )
-from semistab.classical import EXHAUSTIVE_RANK_CAP, _flag_ranks
-from semistab.errors import DegenerateFlag, MalformedFlag, NotCoordinateFlag, TooLarge
+from semistab.classical import EXHAUSTIVE_RANK_CAP, _flag_ranks, _nested, _step_invariants
+from semistab.errors import (
+    DegenerateFlag,
+    MalformedFlag,
+    NotCoordinateFlag,
+    SemistabError,
+    TooLarge,
+)
 
-from conftest import oracle_ramanathan_semistable, oracle_semistable_form
+from conftest import oracle_flag_ranks, oracle_ramanathan_semistable, oracle_semistable_form
 
 ONE = UniPoly.of(1)
 ZERO = UniPoly.zero()
@@ -84,6 +90,12 @@ class TestSplitModel:
 
     def test_dual(self):
         assert SplitSheafModel((2, -1, -1)).dual().summand_degrees == (-2, 1, 1)
+
+    @pytest.mark.parametrize("degrees", [(0.5, -0.5), (1.0, -1.0)])
+    def test_float_degrees_rejected(self, degrees):
+        """int() used to truncate: (0.5, -0.5) became the trivial model."""
+        with pytest.raises(TypeError):
+            SplitSheafModel(degrees)
 
 
 class TestFormBundle:
@@ -324,10 +336,77 @@ class TestFormProfileOracle:
         assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
 
 
-def test_rank_cache_holds_a_capped_walk():
-    """A second exhaustive walk at the rank cap finds every flag still cached."""
-    walk = enumerate_coordinate_flags(EXHAUSTIVE_RANK_CAP)
-    assert _flag_ranks.cache_info().maxsize > len(walk) + 1
+def test_second_capped_walk_adds_no_step_or_pair_misses():
+    """A second exhaustive walk at the rank cap finds every step and pair cached."""
+    r = EXHAUSTIVE_RANK_CAP
+    steps = [step for flag in enumerate_coordinate_flags(r) for step in flag.steps]
+    assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
+    identity = constant_form(
+        SplitSheafModel((0,) * r),
+        Symmetry.SYMMETRIC,
+        [[int(a == b) for b in range(r)] for a in range(r)],
+    )
+    assert semistable_form(identity).semistable
+    misses = (_step_invariants.cache_info().misses, _nested.cache_info().misses)
+    assert semistable_form(identity).semistable
+    assert (_step_invariants.cache_info().misses, _nested.cache_info().misses) == misses
+
+
+@st.composite
+def polynomial_flags(draw):
+    """A split model and a flag whose steps are drawn one kind at a time.
+
+    A step extends the previous one by a new column (nested) or by a
+    Q[x]-combination of its columns (a rank collapse), swaps its last
+    column for two new ones (mostly a larger rank that is not nested), or
+    is fresh random columns, zero columns (rank 0) or the whole basis
+    (full rank).
+    """
+    model = draw(split_models())
+    r = model.rank
+    column = (
+        st.lists(polys(2), min_size=r, max_size=r)
+        .filter(lambda c: any(not p.is_zero() for p in c))
+        .map(tuple)
+    )
+    kinds = st.sampled_from(
+        ["extend", "extend", "combine", "swap", "swap", "fresh", "zero", "full"]
+    )
+    columns: tuple = ()
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(kinds)
+        if kind == "extend" or (kind == "combine" and not columns):
+            columns += (draw(column),)
+        elif kind == "combine":
+            u, w = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            c = draw(polys(1))
+            columns += (tuple(p + q * c for p, q in zip(u, w)),)
+        elif kind == "swap":
+            columns = columns[:-1] + tuple(draw(st.lists(column, min_size=2, max_size=2)))
+        elif kind == "fresh":
+            columns = tuple(draw(st.lists(column, min_size=1, max_size=r)))
+        elif kind == "zero":
+            columns = ((ZERO,) * r,) * draw(st.integers(1, 2))
+        else:
+            columns = tuple(tuple(ONE if a == k else ZERO for a in range(r)) for k in range(r))
+        steps.append(FlagStep(columns, Fraction(draw(st.integers(1, 3)))))
+    return model, SubsheafFlag(tuple(steps))
+
+
+def _outcome(ranks, model, flag):
+    try:
+        return ranks(model, flag)
+    except SemistabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_flags())
+def test_flag_ranks_match_accumulated_oracle(case):
+    """Same ranks, or the same error and message, as sympy on accumulated columns."""
+    model, flag = case
+    assert _outcome(_flag_ranks, model, flag) == _outcome(oracle_flag_ranks, model, flag)
 
 
 class TestKernelDestabilizer:

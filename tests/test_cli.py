@@ -171,6 +171,41 @@ class TestExitCodes:
         assert len(result.stderr.splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "golden, args, where, key, dropped",
+        [
+            ("formcheck_symplectic.json", ["form-check"], "payload", "flagz", None),
+            ("dispocheck_kernel.json", ["dispo-check"], "payload", "mdoe", "mode"),
+            ("mu_torus.json", ["mu", "--kind", "torus_rep"], "payload", "lamda", "lambda"),
+            ("mu_symplectic.json", ["mu", "--kind", "dispo"], "payload", "entries", None),
+            ("destabilize_single.json", ["destabilize"], "payload", "lambda", None),
+            ("deform_three.json", ["deform"], "payload", "mode", None),
+            ("dualize_line.json", ["dualize"], "payload", "flags", None),
+            ("formcheck_symplectic.json", ["form-check"], "instance file", "flags", None),
+        ],
+        ids=[
+            "form-check",
+            "dispo-check",
+            "mu-torus",
+            "mu-dispo",
+            "destabilize",
+            "deform",
+            "dualize",
+            "envelope",
+        ],
+    )
+    def test_unknown_key(self, golden, args, where, key, dropped, tmp_path):
+        """An unknown key used to be ignored, so a misspelled one fell back to a default."""
+        document = json.loads((GOLDEN / golden).read_text())
+        target = document if where == "instance file" else document["payload"]
+        target[key] = target.pop(dropped) if dropped else []
+        path = tmp_path / "unknown_key.json"
+        path.write_text(json.dumps(document))
+        result = run_cli([*args, "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: unknown key {key!r} in the {where}\n"
+
 def _set_weight(value):
     def mutate(payload):
         payload["rep"]["basis"][0]["weight"] = value

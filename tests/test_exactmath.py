@@ -23,6 +23,14 @@ class TestRational:
         assert rational("2/4") == Fraction(1, 2)
         assert rational(Fraction(5, 7)) == Fraction(5, 7)
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, -2.5])
+    def test_float_rejected(self, value):
+        """0.1 used to become 1/10 and 1.0 the integer 1."""
+        with pytest.raises(TypeError):
+            rational(value)
+        with pytest.raises(TypeError):
+            UniPoly.of(1, value)
+
     def test_format(self):
         assert format_rational(Fraction(3)) == "3"
         assert format_rational(Fraction(-1, 2)) == "-1/2"

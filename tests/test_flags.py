@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from semistab import (
     OneParamSubgroup,
@@ -155,6 +156,28 @@ class TestParabolic:
         with pytest.raises(SingularMatrix):
             parabolic_member(OneParamSubgroup((-1, 1)), [[1, 1], [1, 1]])
 
+    def test_singular_exactly_when_sympy_determinant_vanishes(self):
+        rng = random.Random(11)
+        lam = OneParamSubgroup((-1, 0, 1))
+        singular = 0
+        for _ in range(200):
+            g = [
+                [Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(3)]
+                for _ in range(3)
+            ]
+            expected = sympy.Matrix(g).det() == 0
+            singular += expected
+            try:
+                parabolic_member(lam, g)
+                assert not expected
+            except SingularMatrix:
+                assert expected
+        assert 0 < singular < 200
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError):
+            parabolic_member(OneParamSubgroup((-1, 1)), [[1.0, 0], [0, 1]])
+
     def test_group_closure(self):
         """Parabolic membership is closed under products (sampled)."""
         rng = random.Random(5)
@@ -174,3 +197,26 @@ class TestParabolic:
                     for i in range(3)
                 ]
                 assert parabolic_member(lam, product)
+
+
+class TestIntegersOnly:
+    """Floats used to be truncated: (1.7, -1.7) became the subgroup (1, -1)."""
+
+    @pytest.mark.parametrize(
+        "weights", [(1.7, -1.7), (1.0, -1.0), (Fraction(1), Fraction(-1))]
+    )
+    def test_subgroup_weights(self, weights):
+        with pytest.raises(TypeError):
+            OneParamSubgroup(weights)
+
+    def test_filtration_ranks_and_rank(self):
+        with pytest.raises(TypeError):
+            weight_vector_of_filtration([1.0], [1], 3)
+        with pytest.raises(TypeError):
+            weight_vector_of_filtration([1], [1], 3.0)
+        with pytest.raises(TypeError):
+            weight_vector_of_filtration([1], [0.5], 3)
+
+    def test_integers_still_read(self):
+        assert OneParamSubgroup((True, -1)).weights == (1, -1)
+        assert weight_vector_of_filtration((1,), (1,), 2).entries == frac(-1, 1)

@@ -19,7 +19,7 @@ from semistab import (
 from semistab.errors import DimensionMismatch, TooLarge, TrivialSubgroup
 from semistab.hilbert_mumford import sum_zero_grid
 
-from conftest import mu_flag_invariance_check, random_rep
+from conftest import grid_vectors, mu_flag_invariance_check, random_rep
 
 STANDARD = TorusWeightRep(2, (("e1", (1, 0)), ("e2", (0, 1))))
 FULL = RepPoint((("e1", Fraction(1)), ("e2", Fraction(1))))
@@ -30,11 +30,16 @@ def grid_verdict(rep, point):
     """Independent oracle: minimize mu over sum-zero lambda in {-3..3}^r."""
     weights = [rep.weight_of(label) for label in point.support]
     best = None
-    for vec in sum_zero_grid(rep.torus_rank):
+    for vec in grid_vectors(rep.torus_rank):
         value = max(sum(g * w for g, w in zip(vec, weight)) for weight in weights)
         if best is None or value < best:
             best = value
     return best is not None and best < 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_library_grid_matches_independent_enumeration(r):
+    assert list(sum_zero_grid(r)) == grid_vectors(r)
 
 
 class TestMu:
@@ -145,12 +150,12 @@ class TestTorusDestabilize:
             weights = [rep.weight_of(label) for label in point.support]
             best = min(
                 max(sum(g * w for g, w in zip(vec, weight)) for weight in weights)
-                for vec in sum_zero_grid(rep.torus_rank)
+                for vec in grid_vectors(rep.torus_rank)
             )
             if best >= 0:
                 continue
             minimizers = []
-            for vec in sum_zero_grid(rep.torus_rank):
+            for vec in grid_vectors(rep.torus_rank):
                 value = max(
                     sum(g * w for g, w in zip(vec, weight)) for weight in weights
                 )

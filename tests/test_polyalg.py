@@ -190,7 +190,7 @@ def test_kernel_where_sympy_fails():
 
 
 def test_rank_needs_more_than_one_point():
-    """x (x - 1) vanishes at the first two evaluation points."""
+    """x (x - 1) vanishes at x = 0 and x = 1 but is a nonzero pivot over Q(x)."""
     x = UniPoly.x()
     matrix = [[x * (x - UniPoly.of(1)), UniPoly.zero()], [UniPoly.zero(), UniPoly.of(1)]]
     assert _polyalg.generic_rank(matrix) == 2
