@@ -14,48 +14,30 @@ import sys
 from typing import Any, Mapping, Optional, Sequence
 
 from . import classical, dispo, hilbert_mumford, jsonio, repdata
-from .errors import SemistabError
-from .flags import OneParamSubgroup
+from .errors import MalformedInput, SemistabError
 
 SCHEMA_VERSION = 1
 
 
-class InputError(Exception):
-    """Malformed instance file (exit code 2)."""
-
-
-def _reject_unknown(mapping: Mapping, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(mapping).difference(allowed))
-    if unknown:
-        raise InputError(f"unknown key {unknown[0]!r} in the {where}")
-
-
-def _load_instance(path: Optional[str], expected_kind: str, keys: tuple[str, ...]) -> Mapping:
-    """The payload, once the envelope and the payload are known to hold only known keys."""
+def _load_instance(path: Optional[str], kind: str, required: tuple, optional=()) -> Mapping:
+    """The payload, once the envelope is checked and the payload holds the given top-level keys."""
     try:
         if path is None or path == "-":
             data = json.load(sys.stdin)
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("instance file must be a JSON object")
-    _reject_unknown(data, ("schema_version", "kind", "payload"), "instance file")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported schema_version {data.get('schema_version')!r}, "
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedInput(f"cannot read instance file: {exc}") from exc
+    envelope = jsonio.fields(data, "instance file", ("schema_version", "kind", "payload"))
+    if envelope["schema_version"] != SCHEMA_VERSION:
+        raise MalformedInput(
+            f"unsupported schema_version {envelope['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}"
         )
-    kind = data.get("kind")
-    if kind != expected_kind:
-        raise InputError(f"expected kind {expected_kind!r}, got {kind!r}")
-    payload = data.get("payload")
-    if not isinstance(payload, dict):
-        raise InputError("payload must be a JSON object")
-    _reject_unknown(payload, keys, "payload")
-    return payload
+    if envelope["kind"] != kind:
+        raise MalformedInput(f"expected kind {kind!r}, got {envelope['kind']!r}")
+    return jsonio.fields(envelope["payload"], "payload", required, optional)
 
 
 def _emit(document: Mapping[str, Any], pretty: bool) -> None:
@@ -64,17 +46,6 @@ def _emit(document: Mapping[str, Any], pretty: bool) -> None:
     else:
         text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     sys.stdout.write(text + "\n")
-
-
-def _decode_model(payload: Mapping) -> list[dispo.ModelEntry]:
-    entries = payload["entries"]
-    return [
-        (
-            jsonio.decode_filtration(entry["filtration"]),
-            jsonio.decode_profile(entry["profile"]),
-        )
-        for entry in entries
-    ]
 
 
 def _cmd_mu(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -115,20 +86,25 @@ def _cmd_destabilize(args: argparse.Namespace) -> tuple[dict, bool]:
     }, True
 
 
+# Each dispo-check mode's parameter key. `in tuple(...)` compares, so an unhashable mode is unknown.
+_MODE_PARAMETER = {"asymptotic": (), "delta": ("delta",), "slope": ("delta_bar",)}
+
+
 def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "dispo", ("entries", "mode", "delta", "delta_bar"))
-    model = _decode_model(payload)
+    payload = _load_instance(args.input, "dispo", ("entries",), ("mode", "delta", "delta_bar"))
     mode = payload.get("mode", "asymptotic")
+    if mode not in tuple(_MODE_PARAMETER):
+        raise MalformedInput(f"unknown mode {mode!r}")
+    jsonio.fields(payload, "payload", ("entries", *_MODE_PARAMETER[mode]), ("mode",))
+    model = jsonio.decode_entries(payload["entries"])
     if mode == "delta":
         delta = jsonio.decode_poly(payload["delta"])
         verdict = dispo.delta_semistable(model, delta, strict=args.strict)
     elif mode == "slope":
         delta_bar = jsonio.decode_rational(payload["delta_bar"])
         verdict = dispo.slope_semistable(model, delta_bar, strict=args.strict)
-    elif mode == "asymptotic":
-        verdict = dispo.asymptotic_semistable(model, strict=args.strict)
     else:
-        raise InputError(f"unknown mode {mode!r}")
+        verdict = dispo.asymptotic_semistable(model, strict=args.strict)
     if verdict.semistable:
         return {"verdict": "semistable"}, False
     return {"verdict": "violated", "witness_index": verdict.witness_index}, True
@@ -143,11 +119,11 @@ def _cmd_deform(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
-    payload = _load_instance(args.input, "form_bundle", ("form", "check", "flags"))
+    payload = _load_instance(args.input, "form_bundle", ("form",), ("check", "flags"))
     fb = jsonio.decode_form_bundle(payload["form"])
     if "flags" in payload:
         source: classical.FlagSource = [
-            jsonio.decode_flag(f) for f in payload["flags"]
+            jsonio.decode_flag(f) for f in jsonio.array(payload["flags"], "flags")
         ]
     else:
         source = classical.EXHAUSTIVE
@@ -157,7 +133,7 @@ def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
     elif check == "ramanathan":
         verdict = classical.ramanathan_semistable(fb, source, strict=args.strict)
     else:
-        raise InputError(f"unknown check {check!r}")
+        raise MalformedInput(f"unknown check {check!r}")
     if verdict.semistable:
         return {"verdict": "semistable", "witness": None}, False
     return {
@@ -175,10 +151,7 @@ def _cmd_dualize(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, bool]:
-    try:
-        t = repdata.DynkinType.parse(args.type)
-    except SemistabError as exc:
-        raise InputError(str(exc)) from exc
+    t = repdata.DynkinType.parse(args.type)
     condition = repdata.heinloth_curve_condition([t])
     return {
         "bound": repdata.adjoint_low_height_bound(t),
@@ -253,7 +226,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         document, failed = args.func(args)
-    except (InputError, SemistabError) as exc:
+    except SemistabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,6 +5,10 @@ class SemistabError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class MalformedInput(SemistabError):
+    """An instance document does not have the shape of the input format."""
+
+
 class OutOfRange(SemistabError):
     """An index or parameter lies outside its admissible range."""
 

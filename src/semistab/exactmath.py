@@ -119,13 +119,6 @@ class UniPoly:
         factor = rational(factor)
         return UniPoly(tuple(factor * c for c in self.coefficients))
 
-    def evaluate(self, point: RationalLike) -> Fraction:
-        point = rational(point)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * point + c
-        return acc
-
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -145,21 +138,6 @@ class UniPoly:
                 rem[shift + i] -= factor * c
             rem.pop()
         return UniPoly(tuple(quot)), UniPoly(tuple(rem))
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for power, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if power == 0:
-                parts.append(format_rational(c))
-            elif power == 1:
-                parts.append(f"{format_rational(c)}*x")
-            else:
-                parts.append(f"{format_rational(c)}*x^{power}")
-        return " + ".join(reversed(parts))
 
 
 def poly_order(p: UniPoly, q: UniPoly) -> Order:

@@ -5,32 +5,48 @@ are coefficient arrays with the constant term first, tuples of indices
 are arrays of integers.  All emitters produce plain JSON-compatible
 structures with deterministic ordering.
 
-Decoders read every integer through `decode_int` and every rational
-through `decode_rational`, so a JSON float or boolean is rejected
-instead of being truncated or coerced into the exact computation.
+Decoders read every object through `fields`, every array through
+`array`, every integer through `decode_int` and every rational through
+`decode_rational`: a value of the wrong JSON type, an unknown or missing
+key, a float or a boolean is rejected at every level instead of being
+truncated or coerced into the exact computation.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .classical import (
-    FlagStep,
-    FormBundle,
-    SplitSheafModel,
-    SubsheafFlag,
-    Symmetry,
-)
-from .dispo import FiltrationData, FiltrationMember, NonvanishingProfile
-from .errors import MalformedFiltration
+from .classical import FlagStep, FormBundle, SplitSheafModel, SubsheafFlag, Symmetry
+from .dispo import FiltrationData, FiltrationMember, ModelEntry, NonvanishingProfile
+from .errors import MalformedFiltration, MalformedInput
 from .exactmath import UniPoly, format_rational, rational
 from .flags import OneParamSubgroup
 from .hilbert_mumford import RepPoint, TorusWeightRep
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def fields(data, where: str, required: tuple[str, ...], optional: Iterable[str] = ()) -> Mapping:
+    """`data`, once it is a JSON object with every `required` key and no key outside both lists."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{where} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data).difference(required, optional))
+    if unknown:
+        raise MalformedInput(f"unknown key {unknown[0]!r} in the {where}")
+    for key in required:
+        if key not in data:
+            raise MalformedInput(f"missing key {key!r} in the {where}")
+    return data
+
+
+def array(data, where: str) -> list:
+    """`data`, once it is a JSON array."""
+    if not isinstance(data, list):
+        raise MalformedInput(f"{where} must be a JSON array, got {type(data).__name__}")
+    return data
 
 
 def decode_int(value) -> int:
@@ -60,52 +76,56 @@ def encode_poly(p: UniPoly) -> list[str]:
     return [format_rational(c) for c in p.coefficients]
 
 
-def decode_poly(data: Sequence) -> UniPoly:
-    if not isinstance(data, list):
-        raise TypeError(f"a polynomial is an array of rationals, got {data!r}")
-    return UniPoly(tuple(decode_rational(c) for c in data))
+def decode_poly(data) -> UniPoly:
+    return UniPoly(tuple(decode_rational(c) for c in array(data, "polynomial")))
 
 
 def encode_subgroup(lam: OneParamSubgroup) -> list[int]:
     return list(lam.weights)
 
 
-def decode_subgroup(data: Sequence[int]) -> OneParamSubgroup:
-    return OneParamSubgroup(tuple(decode_int(w) for w in data))
+def decode_subgroup(data) -> OneParamSubgroup:
+    return OneParamSubgroup(tuple(decode_int(w) for w in array(data, "lambda")))
 
 
-def decode_rep(data: Mapping) -> TorusWeightRep:
-    return TorusWeightRep(
-        decode_int(data["torus_rank"]),
-        tuple(
-            (str(item["label"]), tuple(decode_int(w) for w in item["weight"]))
-            for item in data["basis"]
-        ),
-    )
+def decode_rep(data) -> TorusWeightRep:
+    data = fields(data, "rep", ("torus_rank", "basis"))
+    basis = []
+    for item in array(data["basis"], "basis"):
+        item = fields(item, "basis entry", ("label", "weight"))
+        label = item["label"]
+        if not isinstance(label, str):
+            raise MalformedInput(f"a basis label must be a JSON string, got {type(label).__name__}")
+        basis.append((label, tuple(decode_int(w) for w in array(item["weight"], "weight"))))
+    return TorusWeightRep(decode_int(data["torus_rank"]), tuple(basis))
 
 
-def decode_point(data: Mapping) -> RepPoint:
-    if not isinstance(data, Mapping):
-        raise TypeError("point must be a JSON object mapping labels to coordinates")
-    return RepPoint(tuple((str(k), decode_rational(v)) for k, v in data.items()))
+def decode_point(data) -> RepPoint:
+    # The keys are basis labels, so every key is allowed here; the rep checks them.
+    data = fields(data, "point", (), data)
+    return RepPoint(tuple((k, decode_rational(v)) for k, v in data.items()))
 
 
-def decode_filtration(data: Mapping) -> FiltrationData:
-    if not data["members"]:
+def decode_filtration(data) -> FiltrationData:
+    data = fields(data, "filtration", ("r", "d", "P", "members"))
+    members = array(data["members"], "members")
+    if not members:
         raise MalformedFiltration("a dispo filtration needs at least one member")
     return FiltrationData(
         decode_int(data["r"]),
         decode_rational(data["d"]),
         decode_poly(data["P"]),
-        tuple(
-            FiltrationMember(
-                decode_int(m["rank"]),
-                decode_rational(m["degree"]),
-                decode_poly(m["hilb"]),
-                decode_rational(m["alpha"]),
-            )
-            for m in data["members"]
-        ),
+        tuple(_decode_member(m) for m in members),
+    )
+
+
+def _decode_member(data) -> FiltrationMember:
+    data = fields(data, "member", ("rank", "degree", "hilb", "alpha"))
+    return FiltrationMember(
+        decode_int(data["rank"]),
+        decode_rational(data["degree"]),
+        decode_poly(data["hilb"]),
+        decode_rational(data["alpha"]),
     )
 
 
@@ -117,25 +137,39 @@ def encode_profile(p: NonvanishingProfile) -> dict:
     }
 
 
-def decode_profile(data: Mapping) -> NonvanishingProfile:
+def decode_profile(data) -> NonvanishingProfile:
+    data = fields(data, "profile", ("t", "tuple_len", "tuples"))
     return NonvanishingProfile(
         decode_int(data["t"]),
         decode_int(data["tuple_len"]),
-        frozenset(tuple(decode_int(i) for i in t) for t in data["tuples"]),
+        frozenset(
+            tuple(decode_int(i) for i in array(t, "tuple"))
+            for t in array(data["tuples"], "tuples")
+        ),
     )
 
 
-def decode_model(degrees: Sequence) -> SplitSheafModel:
-    return SplitSheafModel(tuple(decode_int(d) for d in degrees))
+def decode_entries(data) -> list[ModelEntry]:
+    """A `dispo-check` model: one (filtration, profile) pair per entry."""
+    entries = [fields(e, "entry", ("filtration", "profile")) for e in array(data, "entries")]
+    return [(decode_filtration(e["filtration"]), decode_profile(e["profile"])) for e in entries]
 
 
-def decode_form_bundle(data: Mapping) -> FormBundle:
+def decode_model(degrees) -> SplitSheafModel:
+    return SplitSheafModel(tuple(decode_int(d) for d in array(degrees, "degrees")))
+
+
+def decode_form_bundle(data) -> FormBundle:
+    data = fields(data, "form", ("degrees", "symmetry", "entries"))
     model = decode_model(data["degrees"])
-    symmetry = Symmetry(data["symmetry"])
+    allowed = [s.value for s in Symmetry]
+    if data["symmetry"] not in allowed:
+        raise MalformedInput(f"symmetry must be one of {allowed}, got {data['symmetry']!r}")
     entries = tuple(
-        tuple(decode_poly(p) for p in row) for row in data["entries"]
+        tuple(decode_poly(p) for p in array(row, "row"))
+        for row in array(data["entries"], "entries")
     )
-    return FormBundle(model, symmetry, entries)
+    return FormBundle(model, Symmetry(data["symmetry"]), entries)
 
 
 def encode_flag(flag: SubsheafFlag) -> dict:
@@ -150,16 +184,15 @@ def encode_flag(flag: SubsheafFlag) -> dict:
     }
 
 
-def decode_flag(data: Mapping) -> SubsheafFlag:
-    return SubsheafFlag(
-        tuple(
-            FlagStep(
-                tuple(
-                    tuple(decode_poly(p) for p in column)
-                    for column in step["generators"]
-                ),
-                decode_rational(step["alpha"]),
-            )
-            for step in data["steps"]
-        )
+def decode_flag(data) -> SubsheafFlag:
+    steps = array(fields(data, "flag", ("steps",))["steps"], "steps")
+    return SubsheafFlag(tuple(_decode_step(step) for step in steps))
+
+
+def _decode_step(data) -> FlagStep:
+    data = fields(data, "step", ("generators", "alpha"))
+    columns = array(data["generators"], "generators")
+    return FlagStep(
+        tuple(tuple(decode_poly(p) for p in array(column, "column")) for column in columns),
+        decode_rational(data["alpha"]),
     )

@@ -306,7 +306,7 @@ def forms_with_nested_flags(draw):
     extra = draw(st.lists(column, min_size=0, max_size=r - 1 - len(first)))
     columns = first + extra
     # Full rank at x = 7 implies full generic rank: every step is a valid flag step.
-    at_seven = sympy.Matrix([[c[a].evaluate(7) for c in columns] for a in range(r)])
+    at_seven = sympy.Matrix([[to_sympy(c[a]).subs(SYMPY_X, 7) for c in columns] for a in range(r)])
     assume(at_seven.rank() == len(columns))
     steps = tuple(
         FlagStep(tuple(columns[: len(first) + k]), Fraction(1))

@@ -1,10 +1,15 @@
 """CLI golden files, exit codes, and round trips."""
 
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import semistab.cli
 from conftest import run_semistab
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,6 +73,110 @@ class TestDocumentedValues:
             [(6, 0, 0), (4, 1, 0), (2, 2, 0), (0, 3, 0), (3, 0, 1), (1, 1, 1), (0, 0, 2)]
         )
         assert len(tuples) == 7
+
+
+MU_TORUS = ["mu", "--kind", "torus_rep"]
+MU_DISPO = ["mu", "--kind", "dispo"]
+BASIS = ["payload", "rep", "basis"]
+FILTRATION = ["payload", "filtration"]
+ENTRY = ["payload", "entries", 0]
+FORM = ["payload", "form"]
+FLAG = ["payload", "flag"]
+
+
+def _node(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+def _run_document(args, document, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    return run_cli([*args, "--input", str(path)])
+
+
+def _deep_payload_value():
+    document = json.loads((GOLDEN / "destabilize_single.json").read_text())
+    document["payload"]["deep"] = None
+    return json.dumps(document).replace("null", "[" * 100_000 + "]" * 100_000).encode()
+
+
+def _long_integer():
+    text = (GOLDEN / "destabilize_single.json").read_text()
+    return text.replace('"torus_rank": 2', '"torus_rank": ' + "1" * 5000).encode()
+
+
+UNREADABLE_FILES = {
+    "deep_file": lambda: b"[" * 100_000 + b"]" * 100_000,
+    "deep_payload_value": _deep_payload_value,
+    "long_integer": _long_integer,
+    "invalid_utf8": lambda: b'{"schema_version": 1, "kind": "\xff"}',
+}
+
+
+def _setter(path, key, value):
+    def mutate(payload):
+        _node(payload, path)[key] = value
+    return mutate
+
+
+def _slope_without_delta_bar(payload):
+    payload["mode"] = "slope"
+    del payload["delta"]
+
+
+CHECK = ("dispocheck_kernel.json", ["dispo-check"])
+FORM_CHECK = ("formcheck_symplectic.json", ["form-check"])
+TORUS = ("destabilize_single.json", ["destabilize"])
+
+# Each shape used to exit 0 with a verdict, or exit 2 with a Python repr
+# (the slope payload without delta_bar, the unknown symmetry) or with a
+# message about something else (the label array read as "['e', '1']").
+REJECTED_SHAPES = {
+    "flags_string": (
+        *FORM_CHECK, _setter([], "flags", ""), "flags must be a JSON array, got str"
+    ),
+    "flags_object": (
+        *FORM_CHECK, _setter([], "flags", {}), "flags must be a JSON array, got dict"
+    ),
+    "entries_string": (
+        *CHECK, _setter([], "entries", ""), "entries must be a JSON array, got str"
+    ),
+    "entries_object": (
+        *CHECK, _setter([], "entries", {}), "entries must be a JSON array, got dict"
+    ),
+    "dualize_steps_string": (
+        "dualize_line.json",
+        ["dualize"],
+        _setter(["flag"], "steps", ""),
+        "steps must be a JSON array, got str",
+    ),
+    "mode_missing": (
+        *CHECK, lambda payload: payload.pop("mode"), "unknown key 'delta' in the payload"
+    ),
+    "delta_with_delta_bar": (
+        *CHECK, _setter([], "delta_bar", "1"), "unknown key 'delta_bar' in the payload"
+    ),
+    "slope_without_delta_bar": (
+        *CHECK, _slope_without_delta_bar, "missing key 'delta_bar' in the payload"
+    ),
+    "label_array": (
+        *TORUS,
+        _setter(["rep", "basis", 0], "label", ["e", "1"]),
+        "a basis label must be a JSON string, got list",
+    ),
+    "label_integer": (
+        *TORUS,
+        _setter(["rep", "basis", 1], "label", 5),
+        "a basis label must be a JSON string, got int",
+    ),
+    "symmetry_unknown": (
+        *FORM_CHECK,
+        _setter(["form"], "symmetry", "skew"),
+        "symmetry must be one of ['symmetric', 'antisymmetric'], got 'skew'",
+    ),
+}
 
 
 class TestExitCodes:
@@ -172,16 +281,25 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize(
-        "golden, args, where, key, dropped",
+        "golden, args, path, where, key, dropped",
         [
-            ("formcheck_symplectic.json", ["form-check"], "payload", "flagz", None),
-            ("dispocheck_kernel.json", ["dispo-check"], "payload", "mdoe", "mode"),
-            ("mu_torus.json", ["mu", "--kind", "torus_rep"], "payload", "lamda", "lambda"),
-            ("mu_symplectic.json", ["mu", "--kind", "dispo"], "payload", "entries", None),
-            ("destabilize_single.json", ["destabilize"], "payload", "lambda", None),
-            ("deform_three.json", ["deform"], "payload", "mode", None),
-            ("dualize_line.json", ["dualize"], "payload", "flags", None),
-            ("formcheck_symplectic.json", ["form-check"], "instance file", "flags", None),
+            ("formcheck_symplectic.json", ["form-check"], ["payload"], "payload", "flagz", None),
+            ("dispocheck_kernel.json", ["dispo-check"], ["payload"], "payload", "mdoe", "mode"),
+            ("mu_torus.json", MU_TORUS, ["payload"], "payload", "lamda", "lambda"),
+            ("mu_symplectic.json", MU_DISPO, ["payload"], "payload", "entries", None),
+            ("destabilize_single.json", ["destabilize"], ["payload"], "payload", "lambda", None),
+            ("deform_three.json", ["deform"], ["payload"], "payload", "mode", None),
+            ("dualize_line.json", ["dualize"], ["payload"], "payload", "flags", None),
+            ("formcheck_symplectic.json", ["form-check"], [], "instance file", "flags", None),
+            ("mu_torus.json", MU_TORUS, ["payload", "rep"], "rep", "bogus", None),
+            ("mu_torus.json", MU_TORUS, [*BASIS, 0], "basis entry", "bogus", None),
+            ("mu_symplectic.json", MU_DISPO, FILTRATION, "filtration", "bogus", None),
+            ("mu_symplectic.json", MU_DISPO, [*FILTRATION, "members", 0], "member", "bogus", None),
+            ("mu_symplectic.json", MU_DISPO, ["payload", "profile"], "profile", "bogus", None),
+            ("dispocheck_kernel.json", ["dispo-check"], ENTRY, "entry", "bogus", None),
+            ("formcheck_symplectic.json", ["form-check"], FORM, "form", "bogus", None),
+            ("dualize_line.json", ["dualize"], FLAG, "flag", "bogus", None),
+            ("dualize_line.json", ["dualize"], [*FLAG, "steps", 0], "step", "bogus", None),
         ],
         ids=[
             "form-check",
@@ -192,19 +310,86 @@ class TestExitCodes:
             "deform",
             "dualize",
             "envelope",
+            "rep",
+            "basis-entry",
+            "filtration",
+            "member",
+            "profile",
+            "entry",
+            "form",
+            "flag",
+            "step",
         ],
     )
-    def test_unknown_key(self, golden, args, where, key, dropped, tmp_path):
+    def test_unknown_key(self, golden, args, path, where, key, dropped, tmp_path):
         """An unknown key used to be ignored, so a misspelled one fell back to a default."""
         document = json.loads((GOLDEN / golden).read_text())
-        target = document if where == "instance file" else document["payload"]
+        target = _node(document, path)
         target[key] = target.pop(dropped) if dropped else []
-        path = tmp_path / "unknown_key.json"
-        path.write_text(json.dumps(document))
-        result = run_cli([*args, "--input", str(path)])
+        result = _run_document(args, document, tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: unknown key {key!r} in the {where}\n"
+
+    @pytest.mark.parametrize(
+        "golden, args, path, where, key",
+        [
+            ("mu_torus.json", MU_TORUS, [], "instance file", "kind"),
+            ("mu_torus.json", MU_TORUS, ["payload"], "payload", "lambda"),
+            ("mu_torus.json", MU_TORUS, ["payload", "rep"], "rep", "torus_rank"),
+            ("mu_torus.json", MU_TORUS, [*BASIS, 1], "basis entry", "weight"),
+            ("mu_symplectic.json", MU_DISPO, FILTRATION, "filtration", "P"),
+            ("mu_symplectic.json", MU_DISPO, [*FILTRATION, "members", 0], "member", "alpha"),
+            ("mu_symplectic.json", MU_DISPO, ["payload", "profile"], "profile", "tuples"),
+            ("dispocheck_kernel.json", ["dispo-check"], ENTRY, "entry", "profile"),
+            ("formcheck_symplectic.json", ["form-check"], FORM, "form", "symmetry"),
+            ("dualize_line.json", ["dualize"], FLAG, "flag", "steps"),
+            ("dualize_line.json", ["dualize"], [*FLAG, "steps", 0], "step", "alpha"),
+        ],
+        ids=[
+            "envelope",
+            "payload",
+            "rep",
+            "basis-entry",
+            "filtration",
+            "member",
+            "profile",
+            "entry",
+            "form",
+            "flag",
+            "step",
+        ],
+    )
+    def test_missing_key(self, golden, args, path, where, key, tmp_path):
+        """A missing key used to be reported as a Python repr, such as KeyError('lambda')."""
+        document = json.loads((GOLDEN / golden).read_text())
+        del _node(document, path)[key]
+        result = _run_document(args, document, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: missing key {key!r} in the {where}\n"
+
+    @pytest.mark.parametrize("shape", sorted(UNREADABLE_FILES))
+    def test_unreadable_instance_file(self, shape, tmp_path):
+        """A deeply nested file used to end in a RecursionError traceback and exit 1."""
+        path = tmp_path / f"{shape}.json"
+        path.write_bytes(UNREADABLE_FILES[shape]())
+        result = run_cli(["destabilize", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot read instance file: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("shape", sorted(REJECTED_SHAPES))
+    def test_rejected_shape(self, shape, tmp_path):
+        golden, args, mutate, message = REJECTED_SHAPES[shape]
+        document = json.loads((GOLDEN / golden).read_text())
+        mutate(document["payload"])
+        result = _run_document([*args, "--fail-on-unstable"], document, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
 
 def _set_weight(value):
     def mutate(payload):
@@ -244,6 +429,89 @@ def test_rejected_torus_input(shape, tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
+
+
+# (arguments, golden document) for each golden that reads an instance file.
+FUZZ_CASES = [(args[:-2], GOLDEN / args[-1]) for args, _ in CASES if "--input" in args]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(-4, 4)
+    | st.text(max_size=3)
+    | st.sampled_from(["1", "-1/2", "1/0", "0.5", "e1", "symmetric", "slope", "ramanathan"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+KEYS = st.text(max_size=3) | st.sampled_from(["mode", "delta", "delta_bar", "flags", "check"])
+
+
+def _paths(node, path=()):
+    """The path of `node` and of every value below it."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated_goldens(draw):
+    """A golden's arguments and document with one node replaced, one key deleted or one added."""
+    args, golden = draw(st.sampled_from(FUZZ_CASES))
+    document = json.loads(golden.read_text())
+    paths = list(_paths(document))
+    operation = draw(st.sampled_from(["replace", "delete", "add"]))
+    if operation == "replace":
+        path = draw(st.sampled_from(paths))
+        if path:
+            _node(document, path[:-1])[path[-1]] = draw(JSON_VALUES)
+        else:
+            document = draw(JSON_VALUES)
+    elif operation == "delete":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        del _node(document, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from([p for p in paths if isinstance(_node(document, p), dict)]))
+        _node(document, path)[draw(KEYS)] = draw(JSON_VALUES)
+    options = draw(st.lists(st.sampled_from(["--fail-on-unstable", "--strict"]), unique=True))
+    return [*args, *options, "--input", "-"], document
+
+
+def _run_in_process(argv, text):
+    """(exit code, stdout, stderr) of `semistab.cli.run(argv)` reading `text` from stdin."""
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        code = semistab.cli.run(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_goldens())
+def test_mutated_golden_exits_cleanly(case):
+    """Exit 0 with one JSON line, 2 with one stderr line, or 1 with a verdict under
+    --fail-on-unstable; no exception escapes `run`."""
+    argv, document = case
+    code, out, err = _run_in_process(argv, json.dumps(document))
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        return
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    verdict = json.loads(out).get("verdict")
+    assert code == 0 or (
+        code == 1 and "--fail-on-unstable" in argv and verdict in ("unstable", "violated")
+    )
 
 
 class TestDeterminismAndRoundTrip:

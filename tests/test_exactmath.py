@@ -17,6 +17,13 @@ coeffs = st.lists(
 polys = coeffs.map(lambda cs: UniPoly(tuple(cs)))
 
 
+def _horner(p, point):
+    value = Fraction(0)
+    for c in reversed(p.coefficients):
+        value = value * point + c
+    return value
+
+
 class TestRational:
     def test_coercions(self):
         assert rational(3) == Fraction(3)
@@ -48,7 +55,6 @@ class TestUniPoly:
         one = UniPoly.of(1)
         assert (x + one) + (x - one) == x.scale(2)
         assert x.scale(Fraction(3, 2)) == UniPoly.of(0, Fraction(3, 2))
-        assert UniPoly.of(1, 2).evaluate(3) == 7
 
     def test_divmod(self):
         p = UniPoly.of(-1, 0, 1)  # x^2 - 1
@@ -60,10 +66,6 @@ class TestUniPoly:
     def test_json_round_trip(self):
         p = UniPoly.of(Fraction(1, 2), -3, 0, 5)
         assert decode_poly(encode_poly(p)) == p
-
-    def test_str(self):
-        assert str(UniPoly.zero()) == "0"
-        assert str(UniPoly.of(1, 2)) == "2*x + 1"
 
 
 class TestPolyOrder:
@@ -94,7 +96,7 @@ class TestPolyOrder:
         """The asymptotic order matches pointwise comparison far out."""
         point = 10**6
         verdict = poly_order(p, q)
-        left, right = p.evaluate(point), q.evaluate(point)
+        left, right = _horner(p, point), _horner(q, point)
         if verdict is Order.LESS:
             assert left < right
         elif verdict is Order.GREATER:
