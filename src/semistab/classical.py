@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from operator import index
@@ -104,6 +103,8 @@ class FormBundle:
                 raise MalformedFlag("antisymmetric form must have zero diagonal")
         if not nontrivial:
             raise MalformedFlag("form must be nontrivial")
+        # Filled by `_memoised`; not a field, so not in ==, hash or repr.
+        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class FlagStep:
             raise MalformedFlag("alpha must be positive")
         if not self.columns:
             raise MalformedFlag("a flag step needs at least one generator")
-        # Steps key the rank caches, so hash the polynomial columns once.
+        # Steps key the form's memo, so hash the polynomial columns once.
         object.__setattr__(self, "_hash", hash((self.columns, self.alpha)))
 
     def __hash__(self) -> int:
@@ -158,20 +159,11 @@ def coordinate_flag(
 def _step_matrix(step: FlagStep, r: int) -> list[list[UniPoly]]:
     for column in step.columns:
         if len(column) != r:
-            raise MalformedFlag(
-                f"generator column has length {len(column)}, expected {r}"
-            )
+            raise MalformedFlag(f"generator column has length {len(column)}, expected {r}")
     return [[column[a] for column in step.columns] for a in range(r)]
 
 
-# Keyed by step and by consecutive pair, not by flag: a step enters only
-# through its rank and saturation degree, and steps repeat across flags
-# (62 steps and 602 pairs in the 4,682 flags at r = 6).  Pairs suffice:
-# while each step's span contains the one before it, steps 1..i-1 span
-# what step i-1 spans, so the first failing step and its error are those
-# of a check against all the earlier columns.
-@lru_cache(maxsize=4096)
-def _step_invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[int]]:
+def _invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[int]]:
     """Generic rank and saturation degree of one step (degree None at rank 0).
 
     With the content g of the maximal minors removed, the degree is the
@@ -194,19 +186,45 @@ def _step_invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optio
     return len(basis), degree
 
 
-@lru_cache(maxsize=4096)
-def _nested(model: SplitSheafModel, lower: FlagStep, upper: FlagStep) -> bool:
+# The form's memo is keyed by step and by step pair, not by flag: a step
+# enters only through its rank, saturation degree and images under Phi,
+# and steps repeat across flags (62 steps and 602 consecutive pairs in the
+# 4,682 flags at r = 6).  Pairs suffice for nestedness: while each step's
+# span contains the one before it, steps 1..i-1 span what step i-1 spans,
+# so the first failing step and its error are those of a check against
+# all the earlier columns.
+def _memoised(fb: FormBundle, analyse: Callable, *steps: FlagStep):
+    """`analyse(fb, *steps)`, computed on first use and kept in the form's memo."""
+    key = (analyse, *steps)
+    if key not in fb._memo:
+        fb._memo[key] = analyse(fb, *steps)
+    return fb._memo[key]
+
+
+def _analyse_step(fb: FormBundle, step: FlagStep) -> tuple:
+    """Rank, saturation degree, and Phi w for each generator w of the step."""
+    rank, degree = _invariants(fb.model, step)
+    return rank, degree, tuple(_apply(fb.entries, w) for w in step.columns)
+
+
+def _nested(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
     """Whether the span of `lower` lies in the span of `upper` over Q(x)."""
     columns = lower.columns + upper.columns
-    joint = [[column[a] for column in columns] for a in range(model.rank)]
-    return _polyalg.generic_rank(joint) == _step_invariants(model, upper)[0]
+    joint = [[column[a] for column in columns] for a in range(fb.model.rank)]
+    return _polyalg.generic_rank(joint) == _memoised(fb, _analyse_step, upper)[0]
 
 
-def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
-    r = model.rank
+def _vanishes_between(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
+    """Whether u . (Phi w) = 0 for every generator u of `lower` and w of `upper`."""
+    images = _memoised(fb, _analyse_step, upper)[2]
+    return all(_dot(u, image).is_zero() for u in lower.columns for image in images)
+
+
+def _flag_ranks(fb: FormBundle, flag: SubsheafFlag) -> tuple[int, ...]:
+    r = fb.model.rank
     ranks: list[int] = []
     for i, step in enumerate(flag.steps):
-        rank = _step_invariants(model, step)[0]
+        rank = _memoised(fb, _analyse_step, step)[0]
         if ranks and rank <= ranks[-1]:
             raise DegenerateFlag(
                 f"generic ranks collapse: {ranks + [rank]} not strictly increasing"
@@ -215,7 +233,7 @@ def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
             raise DegenerateFlag(
                 f"step rank {rank} must lie strictly between 0 and {r}"
             )
-        if i and not _nested(model, flag.steps[i - 1], step):
+        if i and not _memoised(fb, _nested, flag.steps[i - 1], step):
             raise MalformedFlag("flag steps are not nested")
         ranks.append(rank)
     return tuple(ranks)
@@ -223,7 +241,7 @@ def _flag_ranks(model: SplitSheafModel, flag: SubsheafFlag) -> tuple[int, ...]:
 
 def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
     """Degree of the saturation of the subsheaf generated by the columns."""
-    degree = _step_invariants(model, step)[1]
+    degree = _invariants(model, step)[1]
     if degree is None:
         raise DegenerateFlag("generator matrix has generic rank zero")
     return degree
@@ -232,10 +250,10 @@ def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
     """Discrete invariants (rank, degree, Hilbert polynomial, alpha) per step."""
     model = fb.model
-    ranks = _flag_ranks(model, flag)
+    ranks = _flag_ranks(fb, flag)
     members = []
     for step, rank in zip(flag.steps, ranks):
-        degree = saturation_degree(model, step)
+        degree = _memoised(fb, _analyse_step, step)[1]
         hilb = UniPoly.of(degree + rank, rank)
         members.append(
             FiltrationMember(rank, Fraction(degree), hilb, step.alpha)
@@ -251,47 +269,36 @@ def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
     With G_1, ..., G_t the generator matrices of the steps and G_{t+1} = I,
     the pair (i, j), i <= j, is in the profile when G_i^T Phi G_j is not
     identically zero.  For j <= t that means u . (Phi w) != 0 for some
-    generator u of step i and some generator w of step j, so Phi w is
-    computed once per generator of each step.  Phi is symmetric or
-    antisymmetric, so G_i^T Phi I = +-(Phi G_i)^T: the pair (i, t + 1) is
-    present exactly when Phi w != 0 for some generator w of step i.  The
-    pair (t + 1, t + 1) is Phi itself, which `FormBundle` requires to be
-    nonzero.
+    generator u of step i and some generator w of step j; the form's memo
+    holds Phi w per generator of each step and the answer per step pair.
+    Phi is symmetric or antisymmetric, so G_i^T Phi I = +-(Phi G_i)^T: the
+    pair (i, t + 1) is present exactly when Phi w != 0 for some generator w
+    of step i.  The pair (t + 1, t + 1) is Phi itself, which `FormBundle`
+    requires to be nonzero.
     """
-    _flag_ranks(fb.model, flag)
+    _flag_ranks(fb, flag)
     t = flag.step_count
-    images = [[_apply(fb.entries, w) for w in step.columns] for step in flag.steps]
     tuples = {(t + 1, t + 1)}
     for i, step in enumerate(flag.steps, start=1):
-        if any(not p.is_zero() for image in images[i - 1] for p in image):
+        images = _memoised(fb, _analyse_step, step)[2]
+        if any(not p.is_zero() for image in images for p in image):
             tuples.add((i, t + 1))
         for j in range(i, t + 1):
-            if any(
-                not _dot(u, image).is_zero()
-                for u in step.columns
-                for image in images[j - 1]
-            ):
+            if not _memoised(fb, _vanishes_between, step, flag.steps[j - 1]):
                 tuples.add((i, j))
     return NonvanishingProfile(t, 2, frozenset(tuples))
 
 
-def _sum(terms) -> UniPoly:
-    total = None
-    for term in terms:
-        total = term if total is None else total + term
-    return UniPoly.zero() if total is None else total
-
-
 def _dot(u: Sequence[UniPoly], v: Sequence[UniPoly]) -> UniPoly:
     """u . v, adding only the products whose factors are both nonzero."""
-    return _sum(p * q for p, q in zip(u, v) if not p.is_zero() and not q.is_zero())
+    return sum((p * q for p, q in zip(u, v) if not p.is_zero() and not q.is_zero()), _ZERO)
 
 
 def _apply(entries, column: Sequence[UniPoly]) -> tuple[UniPoly, ...]:
     """Phi w, adding only the products whose factors are both nonzero."""
     support = [(b, q) for b, q in enumerate(column) if not q.is_zero()]
     return tuple(
-        _sum(row[b] * q for b, q in support if not row[b].is_zero())
+        sum((row[b] * q for b, q in support if not row[b].is_zero()), _ZERO)
         for row in entries
     )
 
@@ -318,15 +325,7 @@ class FormVerdict:
 
 def enumerate_coordinate_flags(r: int) -> list[SubsheafFlag]:
     """All chains of nonempty proper coordinate subsets, alphas fixed to 1."""
-    return list(_coordinate_flags_cached(r))
-
-
-@lru_cache(maxsize=16)
-def _coordinate_flags_cached(r: int) -> tuple[SubsheafFlag, ...]:
-    subsets = []
-    for size in range(1, r):
-        for combo in combinations(range(1, r + 1), size):
-            subsets.append(frozenset(combo))
+    subsets = [frozenset(c) for k in range(1, r) for c in combinations(range(1, r + 1), k)]
     # One step object per subset, shared by every flag through it.
     steps = {s: coordinate_flag([sorted(s)], r=r).steps[0] for s in subsets}
     flags = []
@@ -340,7 +339,7 @@ def _coordinate_flags_cached(r: int) -> tuple[SubsheafFlag, ...]:
                 extend(chain + [s])
 
     extend([])
-    return tuple(flags)
+    return flags
 
 
 def _gather_flags(fb: FormBundle, flag_source: FlagSource) -> list[SubsheafFlag]:

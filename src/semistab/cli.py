@@ -30,7 +30,11 @@ def _load_instance(path: Optional[str], kind: str, required: tuple, optional=())
     except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read instance file: {exc}") from exc
     envelope = jsonio.fields(data, "instance file", ("schema_version", "kind", "payload"))
-    if envelope["schema_version"] != SCHEMA_VERSION:
+    try:
+        version = jsonio.decode_int(envelope["schema_version"])
+    except TypeError:
+        version = None
+    if version != SCHEMA_VERSION:
         raise MalformedInput(
             f"unsupported schema_version {envelope['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}"
@@ -97,6 +101,8 @@ def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
         raise MalformedInput(f"unknown mode {mode!r}")
     jsonio.fields(payload, "payload", ("entries", *_MODE_PARAMETER[mode]), ("mode",))
     model = jsonio.decode_entries(payload["entries"])
+    if not model:
+        raise MalformedInput("entries must not be empty")
     if mode == "delta":
         delta = jsonio.decode_poly(payload["delta"])
         verdict = dispo.delta_semistable(model, delta, strict=args.strict)
@@ -125,6 +131,10 @@ def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
         source: classical.FlagSource = [
             jsonio.decode_flag(f) for f in jsonio.array(payload["flags"], "flags")
         ]
+        if not source:
+            raise MalformedInput(
+                "flags must not be empty; leave the key out for the exhaustive walk"
+            )
     else:
         source = classical.EXHAUSTIVE
     check = payload.get("check", "semistable")

@@ -252,18 +252,20 @@ def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
 
 
 def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
-    """Step ranks by sympy, each step checked against every column before it.
+    """Step ranks by sympy over the field Q(x), each step checked against every column before it.
 
     The checks run in the order rank collapse, rank out of range, not
     nested, and raise the library's errors with its messages.
     """
     import sympy
+    from sympy.polys.matrices import DomainMatrix
 
     x = sympy.Symbol("x")
+    field = sympy.QQ.frac_field(x)
     r = model.rank
 
     def rank(columns):
-        return sympy.Matrix(
+        matrix = sympy.Matrix(
             [
                 [
                     sum(
@@ -275,7 +277,8 @@ def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
                 ]
                 for a in range(r)
             ]
-        ).rank()
+        )
+        return DomainMatrix.from_Matrix(matrix).convert_to(field).rank()
 
     ranks: list[int] = []
     accumulated: tuple = ()

@@ -31,7 +31,8 @@ from semistab import (
     saturation_degree,
     semistable_form,
 )
-from semistab.classical import EXHAUSTIVE_RANK_CAP, _flag_ranks, _nested, _step_invariants
+from semistab import classical
+from semistab.classical import EXHAUSTIVE_RANK_CAP
 from semistab.errors import (
     DegenerateFlag,
     MalformedFlag,
@@ -336,20 +337,44 @@ class TestFormProfileOracle:
         assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
 
 
-def test_second_capped_walk_adds_no_step_or_pair_misses():
-    """A second exhaustive walk at the rank cap finds every step and pair cached."""
-    r = EXHAUSTIVE_RANK_CAP
-    steps = [step for flag in enumerate_coordinate_flags(r) for step in flag.steps]
-    assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
-    identity = constant_form(
+def identity_form(r):
+    return constant_form(
         SplitSheafModel((0,) * r),
         Symmetry.SYMMETRIC,
         [[int(a == b) for b in range(r)] for a in range(r)],
     )
+
+
+def test_coordinate_flags_share_one_step_per_subset():
+    r = EXHAUSTIVE_RANK_CAP
+    steps = [step for flag in enumerate_coordinate_flags(r) for step in flag.steps]
+    assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
+
+
+def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
+    """A walk analyses each step and step pair once; a second walk of the form none."""
+    analysed = []
+    for name in ("_analyse_step", "_nested", "_vanishes_between"):
+        def counted(fb, *steps, analyse=getattr(classical, name), name=name):
+            analysed.append((name, *steps))
+            return analyse(fb, *steps)
+        monkeypatch.setattr(classical, name, counted)
+    r = 4
+    identity = identity_form(r)
     assert semistable_form(identity).semistable
-    misses = (_step_invariants.cache_info().misses, _nested.cache_info().misses)
+    steps = [key for key in analysed if key[0] == "_analyse_step"]
+    assert len(steps) == 2**r - 2
+    assert len(set(analysed)) == len(analysed)
+    first = len(analysed)
     assert semistable_form(identity).semistable
-    assert (_step_invariants.cache_info().misses, _nested.cache_info().misses) == misses
+    assert len(analysed) == first
+
+
+def test_walked_form_keeps_equality_hash_and_repr():
+    walked, fresh = identity_form(3), identity_form(3)
+    semistable_form(walked)
+    assert walked._memo and not fresh._memo
+    assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
 
 
 @st.composite
@@ -406,7 +431,11 @@ def _outcome(ranks, model, flag):
 def test_flag_ranks_match_accumulated_oracle(case):
     """Same ranks, or the same error and message, as sympy on accumulated columns."""
     model, flag = case
-    assert _outcome(_flag_ranks, model, flag) == _outcome(oracle_flag_ranks, model, flag)
+    # Any form will do: the checks read the model and the flag only.
+    lowest = model.summand_degrees.index(min(model.summand_degrees))
+    rows = [[int(a == b == lowest) for b in range(model.rank)] for a in range(model.rank)]
+    fb = constant_form(model, Symmetry.SYMMETRIC, rows)
+    assert _outcome(classical._flag_ranks, fb, flag) == _outcome(oracle_flag_ranks, model, flag)
 
 
 class TestKernelDestabilizer:
@@ -538,6 +567,45 @@ class TestVerdictOracles:
                 fb, source, strict
             )
             assert ramanathan_semistable(fb, source, strict) == oracle_ramanathan_semistable(
+                fb, source, strict
+            )
+
+
+@st.composite
+def forms_with_flag_sources(draw):
+    """A form and a flag source: exhaustive, weighted coordinate flags or a nested polynomial flag."""
+    kind = draw(st.sampled_from(["exhaustive", "coordinate", "polynomial"]))
+    if kind == "polynomial":
+        fb, flag = draw(forms_with_nested_flags())
+        return fb, [flag]
+    fb = draw(forms(max_rank=4))
+    if kind == "exhaustive":
+        return fb, EXHAUSTIVE
+    return fb, draw(st.lists(weighted_coordinate_flags(fb.model.rank), min_size=1, max_size=6))
+
+
+class TestConstantFunctionalsAndNonnegativeMu:
+    """M = L, a constant, on every flag (fact A); mu >= 0 when det Phi != 0 (fact B).
+
+    Together they make both checks "mu = 0 and L < 0" (or L <= 0 under
+    strict) on a nondegenerate form.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms_with_flag_sources())
+    def test_M_is_the_constant_L_on_every_scored_flag(self, case):
+        fb, source = case
+        for flag in classical._gather_flags(fb, source):
+            data = filtration_data_of(fb, flag)
+            assert functional_M(data) == UniPoly.of(functional_L(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms_with_flag_sources())
+    def test_checks_agree_on_nondegenerate_forms(self, case):
+        fb, source = case
+        assume(kernel_destabilizer(fb) is None)
+        for strict in (False, True):
+            assert semistable_form(fb, source, strict) == ramanathan_semistable(
                 fb, source, strict
             )
 

@@ -130,9 +130,13 @@ CHECK = ("dispocheck_kernel.json", ["dispo-check"])
 FORM_CHECK = ("formcheck_symplectic.json", ["form-check"])
 TORUS = ("destabilize_single.json", ["destabilize"])
 
+NO_FLAGS = "flags must not be empty; leave the key out for the exhaustive walk"
+
 # Each shape used to exit 0 with a verdict, or exit 2 with a Python repr
 # (the slope payload without delta_bar, the unknown symmetry) or with a
 # message about something else (the label array read as "['e', '1']").
+# The empty `entries` and `flags` were vacuous verdicts over no data; on a
+# degenerate form, empty `flags` scored the kernel flag alone.
 REJECTED_SHAPES = {
     "flags_string": (
         *FORM_CHECK, _setter([], "flags", ""), "flags must be a JSON array, got str"
@@ -142,6 +146,11 @@ REJECTED_SHAPES = {
     ),
     "entries_string": (
         *CHECK, _setter([], "entries", ""), "entries must be a JSON array, got str"
+    ),
+    "entries_empty": (*CHECK, _setter([], "entries", []), "entries must not be empty"),
+    "flags_empty": (*FORM_CHECK, _setter([], "flags", []), NO_FLAGS),
+    "flags_empty_degenerate": (
+        "formcheck_degenerate.json", ["form-check"], _setter([], "flags", []), NO_FLAGS
     ),
     "entries_object": (
         *CHECK, _setter([], "entries", {}), "entries must be a JSON array, got dict"
@@ -379,6 +388,16 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.startswith("error: cannot read instance file: ")
         assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["true", "float", "string", "two"])
+    def test_unsupported_schema_version(self, version, tmp_path):
+        """`true` and `1.0` used to pass as version 1, since True == 1 == 1.0."""
+        document = json.loads((GOLDEN / "mu_torus.json").read_text())
+        document["schema_version"] = version
+        result = _run_document(MU_TORUS, document, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: unsupported schema_version {version!r}, expected 1\n"
 
     @pytest.mark.parametrize("shape", sorted(REJECTED_SHAPES))
     def test_rejected_shape(self, shape, tmp_path):

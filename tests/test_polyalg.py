@@ -8,6 +8,7 @@ from itertools import combinations
 from math import gcd
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,8 @@ def sym(matrix):
 
 
 def ref_rank(matrix):
-    return sym(matrix).rank()
+    """Exact rank over the field Q(x)."""
+    return DomainMatrix.from_Matrix(sym(matrix)).convert_to(sympy.QQ.frac_field(X)).rank()
 
 
 def ref_determinant(matrix):
