@@ -57,14 +57,16 @@ class SplitSheafModel:
         if sum(degrees) != 0:
             raise MalformedFlag(f"summand degrees must sum to zero: {degrees}")
         object.__setattr__(self, "summand_degrees", degrees)
+        # Genus zero: P(n) = d_total + r (n + 1), and d_total = 0.  Built once,
+        # since every scored flag carries it; not a field.
+        object.__setattr__(self, "_total_hilb", UniPoly.of(len(degrees), len(degrees)))
 
     @property
     def rank(self) -> int:
         return len(self.summand_degrees)
 
     def total_hilb(self) -> UniPoly:
-        # Genus zero: P(n) = d_total + r (n + 1), and d_total = 0.
-        return UniPoly.of(self.rank, self.rank)
+        return self._total_hilb
 
     def dual(self) -> "SplitSheafModel":
         return SplitSheafModel(tuple(-d for d in self.summand_degrees))
@@ -202,9 +204,17 @@ def _memoised(fb: FormBundle, analyse: Callable, *steps: FlagStep):
 
 
 def _analyse_step(fb: FormBundle, step: FlagStep) -> tuple:
-    """Rank, saturation degree, and Phi w for each generator w of the step."""
+    """Rank, filtration member, and Phi w for each generator w of the step.
+
+    The member holds the rank, saturation degree, Hilbert polynomial and
+    alpha of the step (None at rank 0, where the degree is undefined).
+    """
     rank, degree = _invariants(fb.model, step)
-    return rank, degree, tuple(_apply(fb.entries, w) for w in step.columns)
+    member = None
+    if degree is not None:
+        hilb = UniPoly.of(degree + rank, rank)
+        member = FiltrationMember(rank, Fraction(degree), hilb, step.alpha)
+    return rank, member, tuple(_apply(fb.entries, w) for w in step.columns)
 
 
 def _nested(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
@@ -249,18 +259,9 @@ def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
 
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
     """Discrete invariants (rank, degree, Hilbert polynomial, alpha) per step."""
-    model = fb.model
-    ranks = _flag_ranks(fb, flag)
-    members = []
-    for step, rank in zip(flag.steps, ranks):
-        degree = _memoised(fb, _analyse_step, step)[1]
-        hilb = UniPoly.of(degree + rank, rank)
-        members.append(
-            FiltrationMember(rank, Fraction(degree), hilb, step.alpha)
-        )
-    return FiltrationData(
-        model.rank, Fraction(0), model.total_hilb(), tuple(members)
-    )
+    _flag_ranks(fb, flag)
+    members = tuple(_memoised(fb, _analyse_step, step)[1] for step in flag.steps)
+    return FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), members)
 
 
 def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:

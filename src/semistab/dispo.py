@@ -5,7 +5,9 @@ degrees, Hilbert polynomials, weights); the decoration enters only
 through its nonvanishing profile, the set of index tuples on which it
 does not vanish.  Everything downstream of that (the M and L
 functionals, mu, the delta/slope/asymptotic verdicts, admissible
-deformations) is exact arithmetic on these data.
+deformations) is exact arithmetic on these data.  Block weights and mu
+are computed in integers over D, the lcm of the alpha denominators: the
+block weights times D, with one division by D at the end.
 
 A profile is upward closed exactly when it is closed under covers, the
 moves raising one t_k by 1 that keep the tuple sorted and in range:
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Optional
 
 from .errors import InvalidDelta, MalformedFiltration, ProfileMismatch
@@ -144,11 +146,21 @@ def block_weights(filtration: FiltrationData) -> tuple[Fraction, ...]:
     vectors and rk_j after them, so block b (0 <= b <= t) of their
     alpha-weighted sum is sum_j alpha_j rk_j - r sum_{j > b} alpha_j.
     """
+    weights, denominator = _scaled_block_weights(filtration)
+    return tuple(Fraction(w, denominator) for w in weights)
+
+
+def _scaled_block_weights(filtration: FiltrationData) -> tuple[tuple[int, ...], int]:
+    """The block weights times D, as integers, and D, the lcm of the alpha denominators."""
+    denominator = lcm(*(m.alpha.denominator for m in filtration.members))
+    alphas = [
+        m.alpha.numerator * (denominator // m.alpha.denominator) for m in filtration.members
+    ]
     r = filtration.total_rank
-    weights = [sum((m.alpha * m.rank for m in filtration.members), Fraction(0))]
-    for m in reversed(filtration.members):
-        weights.append(weights[-1] - r * m.alpha)
-    return tuple(reversed(weights))
+    weights = [sum(a * m.rank for a, m in zip(alphas, filtration.members))]
+    for a in reversed(alphas):
+        weights.append(weights[-1] - r * a)
+    return tuple(reversed(weights)), denominator
 
 
 def mu_profile(
@@ -159,8 +171,8 @@ def mu_profile(
         raise ProfileMismatch(
             f"profile has {profile.steps} steps, filtration has {filtration.steps}"
         )
-    gamma = block_weights(filtration)
-    return -min(sum(gamma[i - 1] for i in t) for t in profile.tuples)
+    gamma, denominator = _scaled_block_weights(filtration)
+    return Fraction(-min(sum(gamma[i - 1] for i in t) for t in profile.tuples), denominator)
 
 
 ModelEntry = tuple[FiltrationData, NonvanishingProfile]
@@ -244,7 +256,7 @@ def admissible_deformation(
         raise ProfileMismatch(
             f"profile has {profile.steps} steps, filtration has {filtration.steps}"
         )
-    gamma = block_weights(filtration)
+    gamma = _scaled_block_weights(filtration)[0]
     sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
     minimum = min(sums.values())
     stack = [t for t, s in sums.items() if s == minimum]

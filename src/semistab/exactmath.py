@@ -91,13 +91,21 @@ class UniPoly:
             return Fraction(0)
         return self.coefficients[-1]
 
+    # With a zero operand, +, - and * return an existing operand rather than
+    # a new polynomial: `UniPoly` is frozen, so sharing the object is safe.
     def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not other.coefficients:
+            return self
+        if not self.coefficients:
+            return other
         n = max(len(self.coefficients), len(other.coefficients))
         return UniPoly(
             tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
         )
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
+        if not other.coefficients:
+            return self
         n = max(len(self.coefficients), len(other.coefficients))
         return UniPoly(
             tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
@@ -107,8 +115,10 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coefficients))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
+        if not self.coefficients:
+            return self
+        if not other.coefficients:
+            return other
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             for j, b in enumerate(other.coefficients):
@@ -141,11 +151,19 @@ class UniPoly:
 
 
 def poly_order(p: UniPoly, q: UniPoly) -> Order:
-    """Asymptotic comparison: p before q iff p(n) < q(n) for all n >> 0."""
-    diff = p - q
-    if diff.is_zero():
-        return Order.EQUAL
-    return Order.GREATER if diff.leading > 0 else Order.LESS
+    """Asymptotic comparison: p before q iff p(n) < q(n) for all n >> 0.
+
+    The sign of the leading coefficient of p - q, read off the two
+    coefficient tuples from the top without forming p - q.
+    """
+    a, b = p.coefficients, q.coefficients
+    if len(a) != len(b):
+        top = a[-1] if len(a) > len(b) else -b[-1]
+        return Order.GREATER if top > 0 else Order.LESS
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return Order.GREATER if x > y else Order.LESS
+    return Order.EQUAL
 
 
 def is_positive(delta: UniPoly) -> bool:

@@ -21,7 +21,6 @@ from semistab import (
     TorusWeightRep,
     UniPoly,
     Verdict,
-    block_weights,
     delta_semistable,
     filtration_data_of,
     form_profile,
@@ -176,9 +175,21 @@ def oracle_profile_accepts(steps: int, tuple_len: int, tuples: frozenset) -> boo
     )
 
 
+def oracle_block_weights(filtration) -> tuple[Fraction, ...]:
+    """Block weights by the `Fraction` loop `dispo.block_weights` was first written as.
+
+    Block b (0 <= b <= t) is sum_j alpha_j rk_j - r sum_{j > b} alpha_j.
+    """
+    r = filtration.total_rank
+    weights = [sum((m.alpha * m.rank for m in filtration.members), Fraction(0))]
+    for m in reversed(filtration.members):
+        weights.append(weights[-1] - r * m.alpha)
+    return tuple(reversed(weights))
+
+
 def oracle_deformation(filtration, profile) -> frozenset:
     """Brute-force upward closure of the profile's minimal-weight tuples."""
-    gamma = block_weights(filtration)
+    gamma = oracle_block_weights(filtration)
     sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
     minimum = min(sums.values())
     kept = [t for t, s in sums.items() if s == minimum]

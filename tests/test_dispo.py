@@ -32,6 +32,7 @@ from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 
 from conftest import (
     oracle_asymptotic_semistable,
+    oracle_block_weights,
     oracle_deformation,
     oracle_delta_semistable,
     oracle_profile_accepts,
@@ -64,7 +65,7 @@ KERNEL_PROFILE = NonvanishingProfile(1, 2, frozenset({(2, 2)}))
 
 def oracle_mu(filtration, profile):
     """Independent exhaustive minimization over the full tuple alphabet."""
-    gamma = block_weights(filtration)
+    gamma = oracle_block_weights(filtration)
     best = None
     for raw in itertools.product(
         range(1, profile.steps + 2), repeat=profile.tuple_len
@@ -212,6 +213,26 @@ class TestMuProfile:
             tuple_len = rng.randint(1, 4)
             profile = random_profile(rng, f.steps, tuple_len)
             assert mu_profile(f, profile) == oracle_mu(f, profile)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mixed_denominators_match_oracles(self, data):
+        """Alphas over denominators 1, 2, 3 and 7: block weights, mu and the deformation."""
+        r = data.draw(st.integers(2, 6))
+        ranks = sorted(data.draw(st.sets(st.integers(1, r - 1), max_size=3)))
+        alpha = st.sampled_from(
+            [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1), Fraction(3)]
+        )
+        alphas = data.draw(st.lists(alpha, min_size=len(ranks), max_size=len(ranks)))
+        members = tuple(
+            FiltrationMember(k, Fraction(0), UniPoly.of(k, k), a) for k, a in zip(ranks, alphas)
+        )
+        f = FiltrationData(r, Fraction(0), UniPoly.of(r, r), members)
+        rng = data.draw(st.randoms(use_true_random=False))
+        profile = random_profile(rng, f.steps, data.draw(st.integers(1, 3)))
+        assert block_weights(f) == oracle_block_weights(f)
+        assert mu_profile(f, profile) == oracle_mu(f, profile)
+        assert admissible_deformation(f, profile).tuples == oracle_deformation(f, profile)
 
 
 class TestVerdicts:

@@ -1,9 +1,10 @@
 """Exact rationals, canonical polynomials, and the asymptotic order."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semistab import Order, UniPoly, format_rational, is_positive, poly_order, rational
@@ -63,6 +64,22 @@ class TestUniPoly:
         assert quot == UniPoly.of(-1, 1)
         assert rem.is_zero()
 
+    @given(polys)
+    def test_zero_operand_gives_the_canonical_polynomial(self, p):
+        """p + 0, 0 + p, p - 0 and p * 0 hand back an operand, equal to a fresh build."""
+        zero = UniPoly.zero()
+        for result, expected in (
+            (p + zero, p.coefficients),
+            (zero + p, p.coefficients),
+            (p - zero, p.coefficients),
+            (p * zero, ()),
+            (zero * p, ()),
+        ):
+            fresh = UniPoly(expected)
+            assert result is p or result is zero
+            assert result == fresh and hash(result) == hash(fresh)
+        assert zero - p == -p
+
     def test_json_round_trip(self):
         p = UniPoly.of(Fraction(1, 2), -3, 0, 5)
         assert decode_poly(encode_poly(p)) == p
@@ -103,6 +120,22 @@ class TestPolyOrder:
             assert left > right
         else:
             assert left == right
+
+    @given(polys, polys)
+    @example(UniPoly.of(1, 2), UniPoly.of(5))
+    @example(UniPoly.of(1, -2), UniPoly.of(5))
+    @example(UniPoly.of(5), UniPoly.of(1, -2))
+    @example(UniPoly.zero(), UniPoly.of(0, 0, -1))
+    @example(UniPoly.of(3, -1), UniPoly.of(4, -1))
+    @example(UniPoly.zero(), UniPoly.zero())
+    def test_is_the_sign_of_the_leading_coefficient_of_the_difference(self, p, q):
+        """poly_order as first written: the sign of the leading coefficient of p - q."""
+        pairs = itertools.zip_longest(p.coefficients, q.coefficients, fillvalue=Fraction(0))
+        difference = UniPoly(tuple(a - b for a, b in pairs))
+        if difference.is_zero():
+            assert poly_order(p, q) is Order.EQUAL
+        else:
+            assert poly_order(p, q) is (Order.GREATER if difference.leading > 0 else Order.LESS)
 
     @given(polys, polys, polys)
     def test_addition_exact(self, p, q, r):
