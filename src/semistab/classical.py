@@ -1,10 +1,44 @@
 """Bilinear-form bundles on split models over the projective line.
 
 The concrete, fully decidable instances: a split sheaf ⊕O(d_k) with
-trivial determinant carries an (anti)symmetric form with polynomial
+trivial determinant carries an (anti)symmetric form Phi with polynomial
 entries.  Subsheaf flags are given by explicit polynomial generator
 matrices; their discrete invariants feed the dispo calculus, where the
 form's nonvanishing profile (s = 2, pairs) decides semistability.
+
+Coordinate flags in integers.  The default `"exhaustive"` walk scores
+every chain S_1 < ... < S_t of nonempty proper subsets of 1..r, each
+alpha 1, without building a flag.  Step j is the sum of the summands in
+S_j: its rank is |S_j| and its saturation degree sum_{k in S_j} d_k (its
+one nonzero maximal minor is 1).
+  * Block weights.  Coordinate k lies in block b(k), the first j with
+    k in S_j (t + 1 if none).  Block b weighs sum_j |S_j| - r (t + 1 - b),
+    so k weighs w_k = sum_j |S_j| - r #{j : k in S_j}, and the block
+    weights increase with b.
+  * mu.  A pair i <= j of blocks is in the profile when Phi is nonzero
+    on S_i x S_j (S_{t+1} = 1..r), that is when some (k, l) in supp Phi
+    has b(k) <= i and b(l) <= j.  So the profile is the upward closure
+    of the sorted pairs (b(k), b(l)), (k, l) in supp Phi, and as the
+    block weights increase, its minimal weight sum is taken on one of
+    them: mu = -min over (k, l) in supp Phi of (w_k + w_l).
+  * M = L.  In genus zero with total degree zero, P(n) = r (n + 1) and
+    step j has P_j(n) = |S_j| (n + 1) + deg S_j, so its term
+    |S_j| P - r P_j of M is the constant -r deg S_j.  Hence
+    M = L = -r sum_j sum_{k in S_j} d_k.
+These integers are the signs the two checks feed `first_violation`: mu,
+or M where mu = 0, for `semistable_form`; 1, or L where mu = 0, for
+`ramanathan_semistable`.  Only the first violating chain becomes a
+`SubsheafFlag`, and `filtration_data_of` and `form_profile` score it
+again, so the generic code confirms every unstable verdict.
+
+The kernel flag.  A degenerate form (det Phi = 0) has its kernel flag K
+gathered before the chains.  Phi K = 0, so the profile of K is {(2, 2)}
+alone and mu(K) = -2 rk K < 0: K is the witness of every `semistable_form`
+check on such a form, whatever the chains score, and it never counts for
+`ramanathan_semistable`, which asks only about flags with mu = 0.  One
+generic rank of Phi tells the two cases apart.
+
+Supplied flags are scored one by one through the form's memo below.
 """
 
 from __future__ import annotations
@@ -12,9 +46,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import index
-from typing import Callable, Optional, Sequence, Union
+from functools import reduce
+from itertools import combinations, islice
+from operator import index, or_
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _polyalg
 from .dispo import (
@@ -28,13 +63,14 @@ from .dispo import (
 )
 from .errors import (
     DegenerateFlag,
+    InternalError,
     MalformedFlag,
     NotCoordinateFlag,
     TooLarge,
 )
 from .exactmath import RationalLike, UniPoly, rational
 
-EXHAUSTIVE_RANK_CAP = 6
+EXHAUSTIVE_RANK_CAP = 7
 
 # Shared by every coordinate flag; `UniPoly` is frozen.
 _ONE = UniPoly.of(1)
@@ -257,11 +293,28 @@ def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
     return degree
 
 
+def _filtration_data(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
+    members = tuple(_memoised(fb, _analyse_step, step)[1] for step in flag.steps)
+    return FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), members)
+
+
+def _profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
+    t = flag.step_count
+    tuples = {(t + 1, t + 1)}
+    for i, step in enumerate(flag.steps, start=1):
+        images = _memoised(fb, _analyse_step, step)[2]
+        if any(not p.is_zero() for image in images for p in image):
+            tuples.add((i, t + 1))
+        for j in range(i, t + 1):
+            if not _memoised(fb, _vanishes_between, step, flag.steps[j - 1]):
+                tuples.add((i, j))
+    return NonvanishingProfile(t, 2, frozenset(tuples))
+
+
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
     """Discrete invariants (rank, degree, Hilbert polynomial, alpha) per step."""
     _flag_ranks(fb, flag)
-    members = tuple(_memoised(fb, _analyse_step, step)[1] for step in flag.steps)
-    return FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), members)
+    return _filtration_data(fb, flag)
 
 
 def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
@@ -278,16 +331,13 @@ def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
     requires to be nonzero.
     """
     _flag_ranks(fb, flag)
-    t = flag.step_count
-    tuples = {(t + 1, t + 1)}
-    for i, step in enumerate(flag.steps, start=1):
-        images = _memoised(fb, _analyse_step, step)[2]
-        if any(not p.is_zero() for image in images for p in image):
-            tuples.add((i, t + 1))
-        for j in range(i, t + 1):
-            if not _memoised(fb, _vanishes_between, step, flag.steps[j - 1]):
-                tuples.add((i, j))
-    return NonvanishingProfile(t, 2, frozenset(tuples))
+    return _profile(fb, flag)
+
+
+def _score(fb: FormBundle, flag: SubsheafFlag) -> tuple[FiltrationData, NonvanishingProfile]:
+    """`filtration_data_of` and `form_profile` of one flag, validated once."""
+    _flag_ranks(fb, flag)
+    return _filtration_data(fb, flag), _profile(fb, flag)
 
 
 def _dot(u: Sequence[UniPoly], v: Sequence[UniPoly]) -> UniPoly:
@@ -324,38 +374,87 @@ class FormVerdict:
     witness: Optional[SubsheafFlag] = None
 
 
+Chain = tuple[tuple[int, ...], ...]
+
+
+def _coordinate_subsets(r: int) -> list[tuple[int, ...]]:
+    """Nonempty proper subsets of 1..r as sorted tuples, by size, then lexicographically."""
+    return [c for k in range(1, r) for c in combinations(range(1, r + 1), k)]
+
+
+def _coordinate_chains(r: int) -> Iterator[Chain]:
+    """Chains S_1 < ... < S_t of nonempty proper subsets of 1..r, in walk order.
+
+    Depth first: a chain comes just before its extensions, and the
+    extensions of a chain by one subset follow `_coordinate_subsets`.
+    """
+    subsets = _coordinate_subsets(r)
+    sets = {s: frozenset(s) for s in subsets}
+    supersets = {s: [u for u in subsets if sets[s] < sets[u]] for s in subsets}
+
+    def extend(chain: Chain) -> Iterator[Chain]:
+        for s in supersets[chain[-1]]:
+            longer = chain + (s,)
+            yield longer
+            yield from extend(longer)
+
+    for s in subsets:
+        yield (s,)
+        yield from extend((s,))
+
+
 def enumerate_coordinate_flags(r: int) -> list[SubsheafFlag]:
-    """All chains of nonempty proper coordinate subsets, alphas fixed to 1."""
-    subsets = [frozenset(c) for k in range(1, r) for c in combinations(range(1, r + 1), k)]
+    """All chains of nonempty proper coordinate subsets, alphas fixed to 1, in walk order."""
     # One step object per subset, shared by every flag through it.
-    steps = {s: coordinate_flag([sorted(s)], r=r).steps[0] for s in subsets}
-    flags = []
-
-    def extend(chain: list[frozenset]) -> None:
-        if chain:
-            flags.append(SubsheafFlag(tuple(steps[s] for s in chain)))
-        start = subsets.index(chain[-1]) + 1 if chain else 0
-        for s in subsets[start:]:
-            if not chain or (chain[-1] < s):
-                extend(chain + [s])
-
-    extend([])
-    return flags
+    steps = {s: coordinate_flag([s], r=r).steps[0] for s in _coordinate_subsets(r)}
+    return [SubsheafFlag(tuple(steps[s] for s in chain)) for chain in _coordinate_chains(r)]
 
 
-def _gather_flags(fb: FormBundle, flag_source: FlagSource) -> list[SubsheafFlag]:
-    if isinstance(flag_source, str):
-        if flag_source != EXHAUSTIVE:
-            raise MalformedFlag(f"unknown flag source {flag_source!r}")
-        if fb.model.rank > EXHAUSTIVE_RANK_CAP:
-            raise TooLarge(
-                f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}"
-            )
-        flags = enumerate_coordinate_flags(fb.model.rank)
-    else:
-        flags = list(flag_source)
-        if any(not flag.steps for flag in flags):
-            raise MalformedFlag("a supplied flag needs at least one step")
+def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
+    """mu and M = L of a coordinate chain with alphas 1, from supp Phi and the degrees.
+
+    Block b of a chain of t steps weighs sum_j |S_j| - r (t + 1 - b): the
+    weight sum of a profile pair (i, j) grows with i + j, so mu is read
+    off the profile pair with the least i + j.  Subsets are bitmasks here,
+    bit k - 1 for index k; Phi links S_i to S_j, putting (i, j) in the
+    profile, when `reach[S_i]`, the indices l with Phi_kl != 0 for some k
+    in S_i, meets S_j.
+    """
+    r = fb.model.rank
+    everything = (1 << r) - 1
+    rows = [
+        sum(1 << l for l in range(r) if not fb.entries[k][l].is_zero()) for k in range(r)
+    ]
+    mask, reach, degree = {}, {}, {}
+    for s in _coordinate_subsets(r):
+        mask[s] = sum(1 << (k - 1) for k in s)
+        reach[s] = reduce(or_, (rows[k - 1] for k in s))
+        degree[s] = sum(fb.model.summand_degrees[k - 1] for k in s)
+
+    def score(chain: Chain) -> tuple[int, int]:
+        t = len(chain)
+        masks = [mask[s] for s in chain] + [everything]
+        least = 2 * t + 2  # (t + 1, t + 1): Phi is nonzero
+        for i, s in enumerate(chain):
+            if 2 * i + 2 >= least:
+                break
+            for j in range(i, t + 1):
+                if i + j + 2 >= least:
+                    break
+                if reach[s] & masks[j]:
+                    least = i + j + 2
+                    break
+        mu = r * (2 * t + 2 - least) - 2 * sum(map(len, chain))
+        return mu, -r * sum(degree[s] for s in chain)
+
+    return score
+
+
+def _gather_flags(fb: FormBundle, flags: Sequence[SubsheafFlag]) -> list[SubsheafFlag]:
+    """The supplied flags, after the kernel flag of a degenerate form."""
+    flags = list(flags)
+    if any(not flag.steps for flag in flags):
+        raise MalformedFlag("a supplied flag needs at least one step")
     kernel = kernel_destabilizer(fb)
     if kernel is not None:
         flags = [kernel] + flags
@@ -365,23 +464,54 @@ def _gather_flags(fb: FormBundle, flag_source: FlagSource) -> list[SubsheafFlag]
 Sign = Callable[[FiltrationData, NonvanishingProfile], Fraction]
 
 
-def _walk(fb: FormBundle, flag_source: FlagSource, sign: Sign, strict: bool) -> FormVerdict:
-    """The dispo violation rule over the gathered flags, each scored when reached."""
-    flags = _gather_flags(fb, flag_source)
-    verdict = first_violation(
-        (sign(filtration_data_of(fb, flag), form_profile(fb, flag)) for flag in flags),
-        strict,
-    )
+class _Check(NamedTuple):
+    """One check: its sign on a scored flag, the same sign from a chain's
+    integers (mu, M = L), and whether a kernel flag can be its witness."""
+
+    sign: Sign
+    chain_sign: Callable[[int, int], int]
+    kernel_counts: bool
+
+
+def _confirmed(fb: FormBundle, flag: SubsheafFlag, sign: Sign, expected: int) -> FormVerdict:
+    """The unstable verdict for `flag`, once the generic scoring gives it the sign `expected`."""
+    found = sign(filtration_data_of(fb, flag), form_profile(fb, flag))
+    if found != expected:
+        raise InternalError(f"witness signs disagree: {found} scored, {expected} expected")
+    return FormVerdict(False, flag)
+
+
+def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) -> FormVerdict:
+    """The dispo violation rule over the kernel flag and the flags of the source."""
+    if not isinstance(flag_source, str):
+        flags = _gather_flags(fb, flag_source)
+        verdict = first_violation((check.sign(*_score(fb, flag)) for flag in flags), strict)
+        if verdict.semistable:
+            return FormVerdict(True)
+        return FormVerdict(False, flags[verdict.witness_index])
+    if flag_source != EXHAUSTIVE:
+        raise MalformedFlag(f"unknown flag source {flag_source!r}")
+    r = fb.model.rank
+    if r > EXHAUSTIVE_RANK_CAP:
+        raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+    if check.kernel_counts:
+        rank = _polyalg.generic_rank(fb.entries)
+        if rank < r:
+            return _confirmed(fb, kernel_destabilizer(fb), check.sign, -2 * (r - rank))
+    score = _chain_scorer(fb)
+    signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))
+    verdict = first_violation(signs, strict)
     if verdict.semistable:
         return FormVerdict(True)
-    return FormVerdict(False, flags[verdict.witness_index])
+    chain = next(islice(_coordinate_chains(r), verdict.witness_index, None))
+    return _confirmed(fb, coordinate_flag(chain, r=r), check.sign, check.chain_sign(*score(chain)))
 
 
 def semistable_form(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
     """Asymptotic semistability over the gathered flag set (kernel injected)."""
-    return _walk(fb, flag_source, asymptotic_sign, strict)
+    return _walk(fb, flag_source, _SEMISTABLE, strict)
 
 
 def _ramanathan_sign(data: FiltrationData, profile: NonvanishingProfile) -> Fraction:
@@ -389,11 +519,15 @@ def _ramanathan_sign(data: FiltrationData, profile: NonvanishingProfile) -> Frac
     return Fraction(1) if mu_profile(data, profile) != 0 else functional_L(data)
 
 
+_SEMISTABLE = _Check(asymptotic_sign, lambda mu, m: mu or m, kernel_counts=True)
+_RAMANATHAN = _Check(_ramanathan_sign, lambda mu, l: 1 if mu else l, kernel_counts=False)
+
+
 def ramanathan_semistable(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
     """L (>=) 0 over every gathered flag whose mu vanishes."""
-    return _walk(fb, flag_source, _ramanathan_sign, strict)
+    return _walk(fb, flag_source, _RAMANATHAN, strict)
 
 
 def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:

@@ -3,7 +3,8 @@
 Reads JSON instance files (schema_version 1), dispatches to the library,
 and prints a deterministic JSON verdict: sorted keys, canonical rational
 strings, compact separators, trailing newline.  Exit codes: 0 computed,
-1 unstable/violated under --fail-on-unstable, 2 malformed input.
+1 unstable/violated under --fail-on-unstable, 2 malformed input (or an
+`InternalError`, a defect of the program).
 """
 
 from __future__ import annotations

@@ -59,3 +59,7 @@ class InvalidRank(SemistabError):
 
 class NotExceptional(SemistabError):
     """The query is only defined for exceptional Dynkin types."""
+
+
+class InternalError(SemistabError):
+    """Two computations of one value disagree: a defect of the program, not of the input."""

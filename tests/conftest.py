@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -22,11 +23,13 @@ from semistab import (
     UniPoly,
     Verdict,
     delta_semistable,
+    enumerate_coordinate_flags,
     filtration_data_of,
     form_profile,
     functional_L,
     functional_M,
     is_positive,
+    kernel_destabilizer,
     mu,
     mu_profile,
     poly_order,
@@ -35,8 +38,8 @@ from semistab import (
     slope_semistable,
     weighted_flag_of,
 )
-from semistab.classical import EXHAUSTIVE, _gather_flags
-from semistab.errors import DegenerateFlag, InvalidDelta, MalformedFlag
+from semistab.classical import EXHAUSTIVE, EXHAUSTIVE_RANK_CAP, _gather_flags
+from semistab.errors import DegenerateFlag, InvalidDelta, MalformedFlag, TooLarge
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
 # in-tree run, ``site-packages`` for an installed one.
@@ -236,8 +239,51 @@ def oracle_asymptotic_semistable(model, strict=False):
     return Verdict(True)
 
 
+def oracle_coordinate_chains(r: int) -> list[list[frozenset]]:
+    """The chains of nonempty proper subsets of 1..r, in the walk's order, enumerated here.
+
+    Depth first: a chain, then its extensions by each proper superset of
+    its last subset, the subsets ordered by size, then lexicographically.
+    """
+    subsets = [
+        frozenset(c) for k in range(1, r) for c in itertools.combinations(range(1, r + 1), k)
+    ]
+    chains = []
+
+    def extend(chain):
+        if chain:
+            chains.append(chain)
+        for s in subsets:
+            if not chain or chain[-1] < s:
+                extend(chain + [s])
+
+    extend([])
+    return chains
+
+
+def oracle_gather_flags(fb, flag_source=EXHAUSTIVE):
+    """The flags the generic walk scores, in order: the kernel flag of a degenerate form first.
+
+    The exhaustive source is every flag of `enumerate_coordinate_flags`,
+    under the library's rank cap, each scored as a supplied flag.
+    """
+    if not isinstance(flag_source, str):
+        return _gather_flags(fb, flag_source)
+    if flag_source != EXHAUSTIVE:
+        raise MalformedFlag(f"unknown flag source {flag_source!r}")
+    if fb.model.rank > EXHAUSTIVE_RANK_CAP:
+        raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+    kernel = kernel_destabilizer(fb)
+    return ([] if kernel is None else [kernel]) + _coordinate_flags(fb.model.rank)
+
+
+# One flag list per rank, so that walks of one form meet the same step
+# objects in its memo.
+_coordinate_flags = functools.cache(enumerate_coordinate_flags)
+
+
 def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
-    for flag in _gather_flags(fb, flag_source):
+    for flag in oracle_gather_flags(fb, flag_source):
         data = filtration_data_of(fb, flag)
         profile = form_profile(fb, flag)
         value = mu_profile(data, profile)
@@ -251,7 +297,7 @@ def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
 
 
 def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
-    for flag in _gather_flags(fb, flag_source):
+    for flag in oracle_gather_flags(fb, flag_source):
         data = filtration_data_of(fb, flag)
         profile = form_profile(fb, flag)
         if mu_profile(data, profile) != 0:

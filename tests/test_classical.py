@@ -35,13 +35,20 @@ from semistab import classical
 from semistab.classical import EXHAUSTIVE_RANK_CAP
 from semistab.errors import (
     DegenerateFlag,
+    InternalError,
     MalformedFlag,
     NotCoordinateFlag,
     SemistabError,
     TooLarge,
 )
 
-from conftest import oracle_flag_ranks, oracle_ramanathan_semistable, oracle_semistable_form
+from conftest import (
+    oracle_coordinate_chains,
+    oracle_flag_ranks,
+    oracle_gather_flags,
+    oracle_ramanathan_semistable,
+    oracle_semistable_form,
+)
 
 ONE = UniPoly.of(1)
 ZERO = UniPoly.zero()
@@ -416,6 +423,16 @@ def test_coordinate_flags_share_one_step_per_subset():
     assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
 
 
+def test_coordinate_flags_follow_the_chain_order():
+    for r in range(2, 7):
+        expected = [
+            coordinate_flag([sorted(s) for s in chain], r=r) for chain in oracle_coordinate_chains(r)
+        ]
+        assert enumerate_coordinate_flags(r) == expected
+        chains = classical._coordinate_chains(r)
+        assert [coordinate_flag(chain, r=r) for chain in chains] == expected
+
+
 def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
     """A walk analyses each step and step pair once; a second walk of the form none."""
     analysed = []
@@ -426,20 +443,66 @@ def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
         monkeypatch.setattr(classical, name, counted)
     r = 4
     identity = identity_form(r)
-    assert semistable_form(identity).semistable
+    flags = enumerate_coordinate_flags(r)
+    assert semistable_form(identity, flags).semistable
     steps = [key for key in analysed if key[0] == "_analyse_step"]
     assert len(steps) == 2**r - 2
     assert len(set(analysed)) == len(analysed)
     first = len(analysed)
-    assert semistable_form(identity).semistable
+    assert semistable_form(identity, flags).semistable
     assert len(analysed) == first
 
 
 def test_walked_form_keeps_equality_hash_and_repr():
     walked, fresh = identity_form(3), identity_form(3)
-    semistable_form(walked)
+    semistable_form(walked, enumerate_coordinate_flags(3))
     assert walked._memo and not fresh._memo
     assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+
+
+def _count_calls(monkeypatch, names):
+    """Replace each named function or class of `classical` by a counting wrapper."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, original=getattr(classical, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(classical, name, counted)
+    return calls
+
+
+SCORED = ("SubsheafFlag", "FiltrationData", "NonvanishingProfile", "form_profile")
+
+
+def test_exhaustive_walk_scores_only_the_witness(monkeypatch):
+    """A semistable exhaustive walk builds and scores no flag; an unstable one only its witness."""
+    identity = identity_form(5)
+    hyperbolic = constant_form(SplitSheafModel((1, -1)), Symmetry.SYMMETRIC, [[0, 1], [1, 0]])
+    line = coordinate_flag([[1]], r=2)
+    calls = _count_calls(monkeypatch, SCORED)
+    for check in (semistable_form, ramanathan_semistable):
+        assert check(identity).semistable
+    assert calls == dict.fromkeys(SCORED, 0)
+    assert semistable_form(hyperbolic).witness == line
+    assert calls == dict.fromkeys(SCORED, 1)
+
+
+def test_supplied_flag_validated_once_per_score(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_flag_ranks",))
+    flags = enumerate_coordinate_flags(3)
+    assert semistable_form(identity_form(3), flags).semistable
+    assert calls["_flag_ranks"] == len(flags)
+    degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert ramanathan_semistable(degenerate, flags).semistable
+    # The kernel flag is scored first, and then every supplied flag.
+    assert calls["_flag_ranks"] == 2 * len(flags) + 1
+
+
+def test_unconfirmed_witness_raises(monkeypatch):
+    """A chain the integers call violating, that the generic scoring does not, is a defect."""
+    monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (-1, 0))
+    with pytest.raises(InternalError):
+        semistable_form(identity_form(3))
 
 
 @st.composite
@@ -544,11 +607,15 @@ class TestSemistableForm:
         assert verdict.witness == kernel_destabilizer(fb)
 
     def test_rank_cap(self):
-        model = SplitSheafModel((0,) * 7)
-        rows = [[int(a == b) for b in range(7)] for a in range(7)]
-        fb = constant_form(model, Symmetry.SYMMETRIC, rows)
+        fb = identity_form(EXHAUSTIVE_RANK_CAP + 1)
         with pytest.raises(TooLarge):
             semistable_form(fb)
+
+    def test_walk_at_the_cap(self):
+        fb = identity_form(EXHAUSTIVE_RANK_CAP)
+        for strict in (False, True):
+            assert semistable_form(fb, strict=strict).semistable
+            assert ramanathan_semistable(fb, strict=strict).semistable
 
     def test_det_ground_truth(self):
         """Constant forms: semistable iff the determinant does not vanish."""
@@ -635,6 +702,41 @@ class TestVerdictOracles:
                 fb, source, strict
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(forms(), degenerate_forms(), nondegenerate_forms(max_rank=5)))
+    def test_integer_walk_matches_the_generic_walk(self, fb):
+        """The exhaustive walk, r <= 5: twisted models, degenerate forms, polynomial entries."""
+        assert_exhaustive_walks_agree(fb)
+
+    @pytest.mark.parametrize(
+        "degrees, rows",
+        [
+            ((0,) * 6, [[int(a == b) for b in range(6)] for a in range(6)]),
+            # Nondegenerate on a twisted model: the witness is flag 2,701 of 4,682.
+            (
+                (0, 0, 0, 0, 1, -1),
+                [[int(a == b < 4 or {a, b} == {4, 5}) for b in range(6)] for a in range(6)],
+            ),
+            # Rank 5: the kernel flag is the witness of the semistable check.
+            ((0,) * 6, [[int(a == b < 5) for b in range(6)] for a in range(6)]),
+        ],
+        ids=["identity", "twisted", "rank5"],
+    )
+    def test_integer_walk_matches_the_generic_walk_at_rank_6(self, degrees, rows):
+        fb = constant_form(SplitSheafModel(degrees), Symmetry.SYMMETRIC, rows)
+        assert_exhaustive_walks_agree(fb)
+
+
+def assert_exhaustive_walks_agree(fb):
+    """Both checks, both strict values: the oracle's verdict and witness."""
+    for strict in (False, True):
+        assert semistable_form(fb, EXHAUSTIVE, strict) == oracle_semistable_form(
+            fb, EXHAUSTIVE, strict
+        )
+        assert ramanathan_semistable(fb, EXHAUSTIVE, strict) == oracle_ramanathan_semistable(
+            fb, EXHAUSTIVE, strict
+        )
+
 
 @st.composite
 def forms_with_flag_sources(draw, form=forms):
@@ -660,7 +762,7 @@ class TestConstantFunctionalsAndNonnegativeMu:
     @given(forms_with_flag_sources())
     def test_M_is_the_constant_L_on_every_scored_flag(self, case):
         fb, source = case
-        for flag in classical._gather_flags(fb, source):
+        for flag in oracle_gather_flags(fb, source):
             data = filtration_data_of(fb, flag)
             assert functional_M(data) == UniPoly.of(functional_L(data))
 

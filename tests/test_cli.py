@@ -288,6 +288,17 @@ class TestExitCodes:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
 
+    def test_exhaustive_walk_above_the_rank_cap(self, tmp_path):
+        r = 8
+        entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
+        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": {"form": form}}
+        path = tmp_path / "rank8.json"
+        path.write_text(json.dumps(document))
+        result = run_cli(["form-check", "--input", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: exhaustive enumeration capped at rank 7\n"
 
     @pytest.mark.parametrize(
         "golden, args, path, where, key, dropped",
