@@ -16,7 +16,6 @@ from .classical import (
     Symmetry,
     coordinate_flag,
     dualize_filtration,
-    enumerate_coordinate_flags,
     filtration_data_of,
     form_profile,
     kernel_destabilizer,

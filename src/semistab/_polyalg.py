@@ -109,12 +109,12 @@ def generic_kernel(matrix: PolyMatrix) -> list[list[UniPoly]]:
     order, pivots, _, _ = _echelon(matrix)
     pivot_rows = [matrix[a] for a in order[: len(pivots)]]
     block = [[row[p] for p in pivots] for row in pivot_rows]
+    free_columns = [f for f in range(len(matrix[0]) if matrix else 0) if f not in pivots]
+    det = determinant(block) if free_columns else None
     columns = []
-    for free in range(len(matrix[0]) if matrix else 0):
-        if free in pivots:
-            continue
+    for free in free_columns:
         vector = [UniPoly.zero()] * len(matrix[0])
-        vector[free] = determinant(block)
+        vector[free] = det
         for i, p in enumerate(pivots):
             replaced = [
                 brow[:i] + [row[free]] + brow[i + 1 :]

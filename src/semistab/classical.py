@@ -31,14 +31,14 @@ or M where mu = 0, for `semistable_form`; 1, or L where mu = 0, for
 `SubsheafFlag`, and `filtration_data_of` and `form_profile` score it
 again, so the generic code confirms every unstable verdict.
 
-The kernel flag.  A degenerate form (det Phi = 0) has its kernel flag K
-gathered before the chains.  Phi K = 0, so the profile of K is {(2, 2)}
-alone and mu(K) = -2 rk K < 0: K is the witness of every `semistable_form`
-check on such a form, whatever the chains score, and it never counts for
-`ramanathan_semistable`, which asks only about flags with mu = 0.  One
-generic rank of Phi tells the two cases apart.
-
-Supplied flags are scored one by one through the form's memo below.
+The kernel flag.  A degenerate form (det Phi = 0) has a kernel flag K.
+Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
+K is the witness of every `semistable_form` check on such a form, whatever
+the other flags score, and it never counts for `ramanathan_semistable`,
+which asks only about flags with mu = 0.  For either flag source, one
+generic rank of Phi tells the two cases apart before any flag is scored,
+and only a `semistable_form` check builds K and confirms it generically.
+Supplied flags are then scored one by one through the form's memo below.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
-from operator import index, or_
+from math import comb
+from operator import index, le, or_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _polyalg
@@ -71,6 +72,10 @@ from .errors import (
 from .exactmath import RationalLike, UniPoly, rational
 
 EXHAUSTIVE_RANK_CAP = 7
+# A rank-k step at rank r has C(r, k) maximal minors, each a k x k Bareiss
+# elimination: about k^3 products on top of a fixed cost of about 30.  A
+# step of more work is refused; at the cap a coordinate step takes ~1 s.
+MINOR_WORK_CAP = 2_000_000
 
 # Shared by every coordinate flag; `UniPoly` is frozen.
 _ONE = UniPoly.of(1)
@@ -93,16 +98,14 @@ class SplitSheafModel:
         if sum(degrees) != 0:
             raise MalformedFlag(f"summand degrees must sum to zero: {degrees}")
         object.__setattr__(self, "summand_degrees", degrees)
-        # Genus zero: P(n) = d_total + r (n + 1), and d_total = 0.  Built once,
-        # since every scored flag carries it; not a field.
-        object.__setattr__(self, "_total_hilb", UniPoly.of(len(degrees), len(degrees)))
 
     @property
     def rank(self) -> int:
         return len(self.summand_degrees)
 
     def total_hilb(self) -> UniPoly:
-        return self._total_hilb
+        """Genus zero: P(n) = d_total + r (n + 1), and d_total = 0."""
+        return UniPoly.of(self.rank, self.rank)
 
     def dual(self) -> "SplitSheafModel":
         return SplitSheafModel(tuple(-d for d in self.summand_degrees))
@@ -208,20 +211,27 @@ def _invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[i
     minimum over row subsets S of (sum of summand degrees over S) minus
     deg of the reduced minor.
     """
-    matrix = _step_matrix(step, model.rank)
+    r = model.rank
+    matrix = _step_matrix(step, r)
     basis = _polyalg.independent_columns(matrix)
     if not basis:
         return 0, None
+    k = len(basis)
+    if comb(r, k) * (k**3 + 30) > MINOR_WORK_CAP:
+        raise TooLarge(
+            f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
+            f"C(r, k) * (k^3 + 30) exceeds the cap {MINOR_WORK_CAP}"
+        )
     # The minors are those of a basis: the independent columns only.
     matrix = [[row[c] for c in basis] for row in matrix]
-    minors = _polyalg.maximal_minors(matrix, len(basis))
+    minors = _polyalg.maximal_minors(matrix, k)
     content = _polyalg.poly_content(list(minors.values()))
     degree = min(
         sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
         for subset, minor in minors.items()
         if not minor.is_zero()
     )
-    return len(basis), degree
+    return k, degree
 
 
 # The form's memo is keyed by step and by step pair, not by flag: a step
@@ -266,23 +276,31 @@ def _vanishes_between(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
     return all(_dot(u, image).is_zero() for u in lower.columns for image in images)
 
 
-def _flag_ranks(fb: FormBundle, flag: SubsheafFlag) -> tuple[int, ...]:
-    r = fb.model.rank
+def _checked_ranks(r: int, steps: Sequence, rank: Callable, nested: Callable) -> tuple[int, ...]:
+    """The step ranks, once they rise strictly, lie strictly between 0 and r,
+    and `nested(lower, upper)` holds for each step and the one before it."""
     ranks: list[int] = []
-    for i, step in enumerate(flag.steps):
-        rank = _memoised(fb, _analyse_step, step)[0]
-        if ranks and rank <= ranks[-1]:
+    for i, step in enumerate(steps):
+        k = rank(step)
+        if ranks and k <= ranks[-1]:
             raise DegenerateFlag(
-                f"generic ranks collapse: {ranks + [rank]} not strictly increasing"
+                f"generic ranks collapse: {ranks + [k]} not strictly increasing"
             )
-        if not 0 < rank < r:
-            raise DegenerateFlag(
-                f"step rank {rank} must lie strictly between 0 and {r}"
-            )
-        if i and not _memoised(fb, _nested, flag.steps[i - 1], step):
+        if not 0 < k < r:
+            raise DegenerateFlag(f"step rank {k} must lie strictly between 0 and {r}")
+        if i and not nested(steps[i - 1], step):
             raise MalformedFlag("flag steps are not nested")
-        ranks.append(rank)
+        ranks.append(k)
     return tuple(ranks)
+
+
+def _flag_ranks(fb: FormBundle, flag: SubsheafFlag) -> tuple[int, ...]:
+    return _checked_ranks(
+        fb.model.rank,
+        flag.steps,
+        lambda step: _memoised(fb, _analyse_step, step)[0],
+        lambda lower, upper: _memoised(fb, _nested, lower, upper),
+    )
 
 
 def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
@@ -403,13 +421,6 @@ def _coordinate_chains(r: int) -> Iterator[Chain]:
         yield from extend((s,))
 
 
-def enumerate_coordinate_flags(r: int) -> list[SubsheafFlag]:
-    """All chains of nonempty proper coordinate subsets, alphas fixed to 1, in walk order."""
-    # One step object per subset, shared by every flag through it.
-    steps = {s: coordinate_flag([s], r=r).steps[0] for s in _coordinate_subsets(r)}
-    return [SubsheafFlag(tuple(steps[s] for s in chain)) for chain in _coordinate_chains(r)]
-
-
 def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
     """mu and M = L of a coordinate chain with alphas 1, from supp Phi and the degrees.
 
@@ -450,17 +461,6 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
     return score
 
 
-def _gather_flags(fb: FormBundle, flags: Sequence[SubsheafFlag]) -> list[SubsheafFlag]:
-    """The supplied flags, after the kernel flag of a degenerate form."""
-    flags = list(flags)
-    if any(not flag.steps for flag in flags):
-        raise MalformedFlag("a supplied flag needs at least one step")
-    kernel = kernel_destabilizer(fb)
-    if kernel is not None:
-        flags = [kernel] + flags
-    return flags
-
-
 Sign = Callable[[FiltrationData, NonvanishingProfile], Fraction]
 
 
@@ -482,27 +482,31 @@ def _confirmed(fb: FormBundle, flag: SubsheafFlag, sign: Sign, expected: int) ->
 
 
 def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) -> FormVerdict:
-    """The dispo violation rule over the kernel flag and the flags of the source."""
-    if not isinstance(flag_source, str):
-        flags = _gather_flags(fb, flag_source)
-        verdict = first_violation((check.sign(*_score(fb, flag)) for flag in flags), strict)
-        if verdict.semistable:
-            return FormVerdict(True)
-        return FormVerdict(False, flags[verdict.witness_index])
-    if flag_source != EXHAUSTIVE:
-        raise MalformedFlag(f"unknown flag source {flag_source!r}")
+    """The kernel rule, then the dispo violation rule over the flags of the source."""
     r = fb.model.rank
-    if r > EXHAUSTIVE_RANK_CAP:
+    supplied = not isinstance(flag_source, str)
+    if supplied:
+        flags = list(flag_source)
+        if any(not flag.steps for flag in flags):
+            raise MalformedFlag("a supplied flag needs at least one step")
+    elif flag_source != EXHAUSTIVE:
+        raise MalformedFlag(f"unknown flag source {flag_source!r}")
+    elif r > EXHAUSTIVE_RANK_CAP:
         raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
     if check.kernel_counts:
         rank = _polyalg.generic_rank(fb.entries)
         if rank < r:
             return _confirmed(fb, kernel_destabilizer(fb), check.sign, -2 * (r - rank))
-    score = _chain_scorer(fb)
-    signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))
+    if supplied:
+        signs = (check.sign(*_score(fb, flag)) for flag in flags)
+    else:
+        score = _chain_scorer(fb)
+        signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))
     verdict = first_violation(signs, strict)
     if verdict.semistable:
         return FormVerdict(True)
+    if supplied:
+        return FormVerdict(False, flags[verdict.witness_index])
     chain = next(islice(_coordinate_chains(r), verdict.witness_index, None))
     return _confirmed(fb, coordinate_flag(chain, r=r), check.sign, check.chain_sign(*score(chain)))
 
@@ -510,7 +514,7 @@ def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) 
 def semistable_form(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
-    """Asymptotic semistability over the gathered flag set (kernel injected)."""
+    """Asymptotic semistability: a degenerate form's kernel flag, else the flags of the source."""
     return _walk(fb, flag_source, _SEMISTABLE, strict)
 
 
@@ -526,7 +530,7 @@ _RAMANATHAN = _Check(_ramanathan_sign, lambda mu, l: 1 if mu else l, kernel_coun
 def ramanathan_semistable(
     fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
 ) -> FormVerdict:
-    """L (>=) 0 over every gathered flag whose mu vanishes."""
+    """L (>=) 0 over every flag of the source whose mu vanishes; the kernel flag never counts."""
     return _walk(fb, flag_source, _RAMANATHAN, strict)
 
 
@@ -537,15 +541,9 @@ def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:
         for column in step.columns:
             if len(column) != r:
                 raise NotCoordinateFlag("generator column has the wrong length")
-            hits = [
-                a + 1
-                for a, p in enumerate(column)
-                if not p.is_zero()
-            ]
+            hits = [a for a, p in enumerate(column, start=1) if not p.is_zero()]
             if len(hits) != 1 or column[hits[0] - 1] != _ONE:
-                raise NotCoordinateFlag(
-                    "generators must be standard basis vectors"
-                )
+                raise NotCoordinateFlag("generators must be standard basis vectors")
             indices.add(hits[0])
         sets.append(frozenset(indices))
     return sets
@@ -554,13 +552,14 @@ def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:
 def dualize_filtration(model: SplitSheafModel, flag: SubsheafFlag) -> SubsheafFlag:
     """Dual flag (kernels of restriction maps) on the dual split model.
 
-    Coordinate flags only: step i of the result is the complement of step
-    t + 1 - i, with the weights reversed.  An involution; preserves the L
-    functional when the total degree is zero.
+    Coordinate flags only, under the flag rule of `filtration_data_of` with
+    rank |S| and nesting by inclusion: step i of the result is the
+    complement of step t + 1 - i, with the weights reversed.  An
+    involution; preserves the L functional when the total degree is zero.
     """
     r = model.rank
     sets = _coordinate_sets(flag, r)
+    _checked_ranks(r, sets, len, le)
     everything = frozenset(range(1, r + 1))
-    alphas = [step.alpha for step in flag.steps]
     chain = [sorted(everything - s) for s in reversed(sets)]
-    return coordinate_flag(chain, list(reversed(alphas)), r=r)
+    return coordinate_flag(chain, [step.alpha for step in reversed(flag.steps)], r=r)

@@ -19,11 +19,12 @@ from semistab import (
     NonvanishingProfile,
     Order,
     RepPoint,
+    SubsheafFlag,
     TorusWeightRep,
     UniPoly,
     Verdict,
+    coordinate_flag,
     delta_semistable,
-    enumerate_coordinate_flags,
     filtration_data_of,
     form_profile,
     functional_L,
@@ -38,7 +39,7 @@ from semistab import (
     slope_semistable,
     weighted_flag_of,
 )
-from semistab.classical import EXHAUSTIVE, EXHAUSTIVE_RANK_CAP, _gather_flags
+from semistab.classical import EXHAUSTIVE, EXHAUSTIVE_RANK_CAP
 from semistab.errors import DegenerateFlag, InvalidDelta, MalformedFlag, TooLarge
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
@@ -261,25 +262,39 @@ def oracle_coordinate_chains(r: int) -> list[list[frozenset]]:
     return chains
 
 
-def oracle_gather_flags(fb, flag_source=EXHAUSTIVE):
-    """The flags the generic walk scores, in order: the kernel flag of a degenerate form first.
+@functools.cache
+def oracle_coordinate_flags(r: int) -> list:
+    """The flags of `oracle_coordinate_chains`, alphas 1, one shared step object per subset.
 
-    The exhaustive source is every flag of `enumerate_coordinate_flags`,
-    under the library's rank cap, each scored as a supplied flag.
+    Cached per rank, so that walks of one form meet the same step objects
+    in its memo.
+    """
+    chains = oracle_coordinate_chains(r)
+    subsets = {s for chain in chains for s in chain}
+    steps = {s: coordinate_flag([sorted(s)], r=r).steps[0] for s in subsets}
+    return [SubsheafFlag(tuple(steps[s] for s in chain)) for chain in chains]
+
+
+def oracle_gather_flags(fb, flag_source=EXHAUSTIVE):
+    """Every flag the first loops scored, in order: the kernel flag of a degenerate form first.
+
+    For both checks and both sources, so that a loop over these flags
+    states the kernel rule only through the scores.  The exhaustive source
+    is every flag of `oracle_coordinate_flags`, under the library's rank
+    cap, each scored as a supplied flag.
     """
     if not isinstance(flag_source, str):
-        return _gather_flags(fb, flag_source)
-    if flag_source != EXHAUSTIVE:
+        flags = list(flag_source)
+        if any(not flag.steps for flag in flags):
+            raise MalformedFlag("a supplied flag needs at least one step")
+    elif flag_source != EXHAUSTIVE:
         raise MalformedFlag(f"unknown flag source {flag_source!r}")
-    if fb.model.rank > EXHAUSTIVE_RANK_CAP:
+    elif fb.model.rank > EXHAUSTIVE_RANK_CAP:
         raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+    else:
+        flags = oracle_coordinate_flags(fb.model.rank)
     kernel = kernel_destabilizer(fb)
-    return ([] if kernel is None else [kernel]) + _coordinate_flags(fb.model.rank)
-
-
-# One flag list per rank, so that walks of one form meet the same step
-# objects in its memo.
-_coordinate_flags = functools.cache(enumerate_coordinate_flags)
+    return ([] if kernel is None else [kernel]) + flags
 
 
 def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):

@@ -14,13 +14,13 @@ from semistab import (
     FiltrationMember,
     FlagStep,
     FormBundle,
+    FormVerdict,
     SplitSheafModel,
     SubsheafFlag,
     Symmetry,
     UniPoly,
     coordinate_flag,
     dualize_filtration,
-    enumerate_coordinate_flags,
     filtration_data_of,
     form_profile,
     functional_L,
@@ -44,6 +44,7 @@ from semistab.errors import (
 
 from conftest import (
     oracle_coordinate_chains,
+    oracle_coordinate_flags,
     oracle_flag_ranks,
     oracle_gather_flags,
     oracle_ramanathan_semistable,
@@ -141,6 +142,14 @@ class TestSaturationDegree:
         with pytest.raises(DegenerateFlag):
             saturation_degree(TRIVIAL_2, step)
 
+    def test_minor_work_capped(self):
+        """Refused before any minor is taken; a step under the cap is computed."""
+        model = SplitSheafModel((0,) * 24)
+        step = coordinate_flag([range(1, 13)], r=24).steps[0]
+        with pytest.raises(TooLarge, match="has 2704156 maximal minors"):
+            saturation_degree(model, step)
+        assert saturation_degree(model, coordinate_flag([[1, 2, 3]], r=24).steps[0]) == 0
+
 
 class TestFiltrationDataOf:
     def test_coordinate_line(self):
@@ -205,7 +214,7 @@ class TestFiltrationDataOf:
 
     def test_M_vanishes_on_degree_zero_coordinate_flags(self):
         """Regression guard: trivial degrees make M identically zero."""
-        for flag in enumerate_coordinate_flags(3):
+        for flag in oracle_coordinate_flags(3):
             data = flag_data(TRIVIAL_3, flag)
             assert functional_M(data).is_zero()
 
@@ -392,7 +401,7 @@ class TestFormProfileOracle:
     @settings(max_examples=60, deadline=None)
     @given(forms(), st.data())
     def test_coordinate_flags(self, fb, data):
-        flag = data.draw(st.sampled_from(enumerate_coordinate_flags(fb.model.rank)))
+        flag = data.draw(st.sampled_from(oracle_coordinate_flags(fb.model.rank)))
         assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
 
     @settings(max_examples=60, deadline=None)
@@ -418,8 +427,9 @@ def identity_form(r):
 
 
 def test_coordinate_flags_share_one_step_per_subset():
+    """The test-side flag list, so that walks of one form over it meet each step once in its memo."""
     r = EXHAUSTIVE_RANK_CAP
-    steps = [step for flag in enumerate_coordinate_flags(r) for step in flag.steps]
+    steps = [step for flag in oracle_coordinate_flags(r) for step in flag.steps]
     assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
 
 
@@ -428,7 +438,7 @@ def test_coordinate_flags_follow_the_chain_order():
         expected = [
             coordinate_flag([sorted(s) for s in chain], r=r) for chain in oracle_coordinate_chains(r)
         ]
-        assert enumerate_coordinate_flags(r) == expected
+        assert oracle_coordinate_flags(r) == expected
         chains = classical._coordinate_chains(r)
         assert [coordinate_flag(chain, r=r) for chain in chains] == expected
 
@@ -443,7 +453,7 @@ def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
         monkeypatch.setattr(classical, name, counted)
     r = 4
     identity = identity_form(r)
-    flags = enumerate_coordinate_flags(r)
+    flags = oracle_coordinate_flags(r)
     assert semistable_form(identity, flags).semistable
     steps = [key for key in analysed if key[0] == "_analyse_step"]
     assert len(steps) == 2**r - 2
@@ -455,7 +465,7 @@ def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
 
 def test_walked_form_keeps_equality_hash_and_repr():
     walked, fresh = identity_form(3), identity_form(3)
-    semistable_form(walked, enumerate_coordinate_flags(3))
+    semistable_form(walked, oracle_coordinate_flags(3))
     assert walked._memo and not fresh._memo
     assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
 
@@ -489,13 +499,23 @@ def test_exhaustive_walk_scores_only_the_witness(monkeypatch):
 
 def test_supplied_flag_validated_once_per_score(monkeypatch):
     calls = _count_calls(monkeypatch, ("_flag_ranks",))
-    flags = enumerate_coordinate_flags(3)
+    flags = oracle_coordinate_flags(3)
     assert semistable_form(identity_form(3), flags).semistable
     assert calls["_flag_ranks"] == len(flags)
     degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert ramanathan_semistable(degenerate, flags).semistable
-    # The kernel flag is scored first, and then every supplied flag.
-    assert calls["_flag_ranks"] == 2 * len(flags) + 1
+    # The kernel flag never counts for this check, so only the supplied flags are scored.
+    assert calls["_flag_ranks"] == 2 * len(flags)
+
+
+def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
+    calls = _count_calls(monkeypatch, ("kernel_destabilizer",))
+    degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for strict in (False, True):
+        ramanathan_semistable(degenerate, oracle_coordinate_flags(3), strict)
+    assert calls["kernel_destabilizer"] == 0
+    assert not semistable_form(degenerate, oracle_coordinate_flags(3)).semistable
+    assert calls["kernel_destabilizer"] == 1
 
 
 def test_unconfirmed_witness_raises(monkeypatch):
@@ -670,6 +690,19 @@ class TestSemistableForm:
         verdict = semistable_form(fb, [full_rank])
         assert verdict.witness == kernel_destabilizer(fb)
 
+    def test_kernel_flag_before_a_later_non_flag(self):
+        """The kernel flag is the witness whatever the supplied flags, none of which is scored."""
+        fb = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        not_nested = coordinate_flag([[1], [2, 3]], r=3)
+        with pytest.raises(MalformedFlag, match="flag steps are not nested"):
+            filtration_data_of(fb, not_nested)
+        flags = [coordinate_flag([[1]], r=3), not_nested]
+        for strict in (False, True):
+            verdict = semistable_form(fb, flags, strict)
+            assert verdict == FormVerdict(False, kernel_destabilizer(fb))
+        with pytest.raises(MalformedFlag, match="flag steps are not nested"):
+            ramanathan_semistable(fb, flags)
+
 
 @st.composite
 def weighted_coordinate_flags(draw, r):
@@ -688,7 +721,8 @@ class TestVerdictOracles:
         """Verdict and witness agree with the two loops that each stated the rule.
 
         The flags are the exhaustive walk or supplied weighted coordinate
-        flags; a degenerate form gets its kernel flag first either way.
+        flags.  The loops score the kernel flag of a degenerate form first
+        for both checks; the library builds it only for `semistable_form`.
         """
         if data.draw(st.booleans()):
             source = EXHAUSTIVE
@@ -817,7 +851,7 @@ class TestDualize:
             4: SplitSheafModel((1, 2, -1, -2)),
         }
         for r, model in models.items():
-            for flag in enumerate_coordinate_flags(r):
+            for flag in oracle_coordinate_flags(r):
                 dual = dualize_filtration(model, flag)
                 assert dualize_filtration(model.dual(), dual) == flag
                 assert functional_L(flag_data(model, flag)) == functional_L(
@@ -828,3 +862,21 @@ class TestDualize:
         flag = SubsheafFlag((FlagStep(((ONE, X),), Fraction(1)),))
         with pytest.raises(NotCoordinateFlag):
             dualize_filtration(TRIVIAL_2, flag)
+
+    @pytest.mark.parametrize(
+        "chain, error, message",
+        [
+            ([[1], [2]], DegenerateFlag, "generic ranks collapse: [1, 1] not strictly increasing"),
+            ([[1], [1]], DegenerateFlag, "generic ranks collapse: [1, 1] not strictly increasing"),
+            ([[1], [2, 3]], MalformedFlag, "flag steps are not nested"),
+            ([[1, 2, 3]], DegenerateFlag, "step rank 3 must lie strictly between 0 and 3"),
+        ],
+        ids=["disjoint", "repeated", "not-nested", "full"],
+    )
+    def test_non_flag_rejected(self, chain, error, message):
+        """The flag rule of the scorer, with rank |S| and nesting by inclusion."""
+        flag = coordinate_flag(chain, r=3)
+        with pytest.raises(error) as raised:
+            dualize_filtration(TRIVIAL_3, flag)
+        assert str(raised.value) == message
+        assert _outcome(classical._flag_ranks, identity_form(3), flag) == (error, message)

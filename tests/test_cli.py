@@ -126,7 +126,19 @@ def _slope_without_delta_bar(payload):
     del payload["delta"]
 
 
+def _dualize_steps(*subsets):
+    """Degrees [1, 0, -1] and one coordinate step per subset of 1..3."""
+    def mutate(payload):
+        payload["degrees"] = [1, 0, -1]
+        column = lambda k: [["1"] if a == k else [] for a in range(1, 4)]
+        payload["flag"]["steps"] = [
+            {"generators": [column(k) for k in s], "alpha": "1"} for s in subsets
+        ]
+    return mutate
+
+
 CHECK = ("dispocheck_kernel.json", ["dispo-check"])
+DUALIZE = ("dualize_line.json", ["dualize"])
 FORM_CHECK = ("formcheck_symplectic.json", ["form-check"])
 TORUS = ("destabilize_single.json", ["destabilize"])
 
@@ -136,7 +148,9 @@ NO_FLAGS = "flags must not be empty; leave the key out for the exhaustive walk"
 # (the slope payload without delta_bar, the unknown symmetry) or with a
 # message about something else (the label array read as "['e', '1']").
 # The empty `entries` and `flags` were vacuous verdicts over no data; on a
-# degenerate form, empty `flags` scored the kernel flag alone.
+# degenerate form, empty `flags` scored the kernel flag alone.  The first
+# three `dualize` shapes printed a chain that is not a flag and exited 0;
+# the full step exited 2 with "a flag step needs at least one generator".
 REJECTED_SHAPES = {
     "flags_string": (
         *FORM_CHECK, _setter([], "flags", ""), "flags must be a JSON array, got str"
@@ -160,6 +174,18 @@ REJECTED_SHAPES = {
         ["dualize"],
         _setter(["flag"], "steps", ""),
         "steps must be a JSON array, got str",
+    ),
+    "dualize_disjoint_steps": (
+        *DUALIZE, _dualize_steps([1], [2]), "generic ranks collapse: [1, 1] not strictly increasing"
+    ),
+    "dualize_repeated_step": (
+        *DUALIZE, _dualize_steps([1], [1]), "generic ranks collapse: [1, 1] not strictly increasing"
+    ),
+    "dualize_steps_not_nested": (
+        *DUALIZE, _dualize_steps([1], [2, 3]), "flag steps are not nested"
+    ),
+    "dualize_full_step": (
+        *DUALIZE, _dualize_steps([1, 2, 3]), "step rank 3 must lie strictly between 0 and 3"
     ),
     "mode_missing": (
         *CHECK, lambda payload: payload.pop("mode"), "unknown key 'delta' in the payload"
@@ -299,6 +325,28 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: exhaustive enumeration capped at rank 7\n"
+
+    @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
+    def test_supplied_step_above_the_minor_cap(self, check, tmp_path):
+        """The identity form at r = 24 with one step of 12 coordinate columns.
+
+        Its saturation degree would take all C(24, 12) = 2,704,156 maximal
+        minors: the run was still going after several seconds.
+        """
+        r = 24
+        entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
+        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
+        generators = [[["1"] if a == k else [] for a in range(r)] for k in range(12)]
+        flags = [{"steps": [{"generators": generators, "alpha": "1"}]}]
+        payload = {"form": form, "check": check, "flags": flags}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        result = _run_document(["form-check"], document, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a rank-12 step at rank 24 has 2704156 maximal minors; "
+            "C(r, k) * (k^3 + 30) exceeds the cap 2000000\n"
+        )
 
     @pytest.mark.parametrize(
         "golden, args, path, where, key, dropped",
