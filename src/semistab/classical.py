@@ -73,8 +73,9 @@ from .exactmath import RationalLike, UniPoly, rational
 
 EXHAUSTIVE_RANK_CAP = 7
 # A rank-k step at rank r has C(r, k) maximal minors, each a k x k Bareiss
-# elimination: about k^3 products on top of a fixed cost of about 30.  A
-# step of more work is refused; at the cap a coordinate step takes ~1 s.
+# elimination priced by `_minor_price`.  A step of more work is refused; at
+# the cap a step took 0.4-1.0 s, for coordinate columns and for dense
+# columns of degree 0 to 5.
 MINOR_WORK_CAP = 2_000_000
 
 # Shared by every coordinate flag; `UniPoly` is frozen.
@@ -178,15 +179,11 @@ class SubsheafFlag:
 
 
 def coordinate_flag(
-    chain: Sequence[Sequence[int]],
-    alphas: Optional[Sequence[RationalLike]] = None,
-    r: Optional[int] = None,
+    chain: Sequence[Sequence[int]], alphas: Optional[Sequence[RationalLike]] = None, *, r: int
 ) -> SubsheafFlag:
-    """Flag whose steps are spans of standard basis vectors (1-based indices)."""
+    """Flag of O^r whose steps are spans of standard basis vectors (1-based indices)."""
     if alphas is None:
         alphas = [1] * len(chain)
-    if r is None:
-        r = max((max(s) for s in chain if s), default=0)
     steps = []
     for subset, alpha in zip(chain, alphas):
         columns = []
@@ -217,10 +214,11 @@ def _invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[i
     if not basis:
         return 0, None
     k = len(basis)
-    if comb(r, k) * (k**3 + 30) > MINOR_WORK_CAP:
+    price, priced_as = _minor_price([step.columns[c] for c in basis])
+    if comb(r, k) * price > MINOR_WORK_CAP:
         raise TooLarge(
             f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
-            f"C(r, k) * (k^3 + 30) exceeds the cap {MINOR_WORK_CAP}"
+            f"C(r, k) * {priced_as} exceeds the cap {MINOR_WORK_CAP}"
         )
     # The minors are those of a basis: the independent columns only.
     matrix = [[row[c] for c in basis] for row in matrix]
@@ -232,6 +230,24 @@ def _invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[i
         if not minor.is_zero()
     )
     return k, degree
+
+
+def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
+    """Work units of one maximal minor of the columns, and the price as the error states it.
+
+    Coordinate columns (one constant nonzero entry each) keep their minors
+    sparse: about k^3 products on top of a fixed cost of about 30.  Other
+    columns fill the elimination: with entries of degree at most d, stage s
+    makes (k - s)^2 entries of degree about s d, each from polynomial
+    products of (s d + 1)^2 coefficient products plus a fixed cost of
+    about 2, at 25 units per coefficient product.
+    """
+    k = len(columns)
+    d = max(p.degree for column in columns for p in column)
+    if d == 0 and all(sum(not p.is_zero() for p in column) == 1 for column in columns):
+        return k**3 + 30, "(k^3 + 30)"
+    price = 25 * sum((k - s) ** 2 * ((s * d + 1) ** 2 + 2) for s in range(1, k)) + 30
+    return price, f"{price} (a minor of degree-{d} columns)"
 
 
 # The form's memo is keyed by step and by step pair, not by flag: a step

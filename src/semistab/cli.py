@@ -108,8 +108,7 @@ def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
         delta = jsonio.decode_poly(payload["delta"])
         verdict = dispo.delta_semistable(model, delta, strict=args.strict)
     elif mode == "slope":
-        delta_bar = jsonio.decode_rational(payload["delta_bar"])
-        verdict = dispo.slope_semistable(model, delta_bar, strict=args.strict)
+        verdict = dispo.slope_semistable(model, payload["delta_bar"], strict=args.strict)
     else:
         verdict = dispo.asymptotic_semistable(model, strict=args.strict)
     if verdict.semistable:

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidDelta, MalformedFiltration, ProfileMismatch
 from .exactmath import Order, UniPoly, is_positive, poly_order, rational
@@ -53,15 +53,7 @@ class FiltrationData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "total_degree", rational(self.total_degree))
-        ranks = [m.rank for m in self.members]
-        if any(not 0 < k < self.total_rank for k in ranks) or any(
-            ranks[i] >= ranks[i + 1] for i in range(len(ranks) - 1)
-        ):
-            raise MalformedFiltration(
-                f"member ranks must satisfy 0 < rk_1 < ... < rk_t < {self.total_rank}"
-            )
-        if any(m.alpha <= 0 for m in self.members):
-            raise MalformedFiltration("alphas must be positive")
+        check_weights(*_weights(self))
         for m in self.members:
             if poly_order(m.hilb, self.total_hilb) is not Order.LESS:
                 raise MalformedFiltration(
@@ -139,28 +131,44 @@ def functional_L(filtration: FiltrationData) -> Fraction:
     return total
 
 
-def block_weights(filtration: FiltrationData) -> tuple[Fraction, ...]:
-    """Distinct values of the associated weight vector, ascending (t+1 of them).
+def check_weights(ranks: Sequence[int], alphas: Sequence[Fraction], r: int) -> None:
+    """The weighted-filtration rule: one alpha per rank, 0 < rk_1 < ... < rk_t < r, alphas > 0."""
+    if len(ranks) != len(alphas):
+        raise MalformedFiltration("ranks and alphas must have equal length")
+    if any(not 0 < k < r for k in ranks) or any(k >= l for k, l in zip(ranks, ranks[1:])):
+        raise MalformedFiltration(f"member ranks must satisfy 0 < rk_1 < ... < rk_t < {r}")
+    if any(a <= 0 for a in alphas):
+        raise MalformedFiltration("alphas must be positive")
+
+
+def scaled_block_weights(
+    ranks: Sequence[int], alphas: Sequence[Fraction], r: int
+) -> tuple[tuple[int, ...], int]:
+    """The block weights times D, as integers, and D, the lcm of the alpha denominators.
 
     The j-th standard weight vector is rk_j - r on the first rk_j basis
     vectors and rk_j after them, so block b (0 <= b <= t) of their
-    alpha-weighted sum is sum_j alpha_j rk_j - r sum_{j > b} alpha_j.
+    alpha-weighted sum, the entries rk_b < a <= rk_{b+1} (rk_0 = 0,
+    rk_{t+1} = r), is sum_j alpha_j rk_j - r sum_{j > b} alpha_j.
     """
-    weights, denominator = _scaled_block_weights(filtration)
-    return tuple(Fraction(w, denominator) for w in weights)
-
-
-def _scaled_block_weights(filtration: FiltrationData) -> tuple[tuple[int, ...], int]:
-    """The block weights times D, as integers, and D, the lcm of the alpha denominators."""
-    denominator = lcm(*(m.alpha.denominator for m in filtration.members))
-    alphas = [
-        m.alpha.numerator * (denominator // m.alpha.denominator) for m in filtration.members
-    ]
-    r = filtration.total_rank
-    weights = [sum(a * m.rank for a, m in zip(alphas, filtration.members))]
-    for a in reversed(alphas):
+    denominator = lcm(*(a.denominator for a in alphas))
+    scaled = [a.numerator * (denominator // a.denominator) for a in alphas]
+    weights = [sum(a * k for a, k in zip(scaled, ranks))]
+    for a in reversed(scaled):
         weights.append(weights[-1] - r * a)
     return tuple(reversed(weights)), denominator
+
+
+def _weights(filtration: FiltrationData) -> tuple[list[int], list[Fraction], int]:
+    """The ranks, the alphas and the total rank: the arguments of the two rules above."""
+    members = filtration.members
+    return [m.rank for m in members], [m.alpha for m in members], filtration.total_rank
+
+
+def block_weights(filtration: FiltrationData) -> tuple[Fraction, ...]:
+    """Distinct values of the associated weight vector, ascending (t+1 of them)."""
+    weights, denominator = scaled_block_weights(*_weights(filtration))
+    return tuple(Fraction(w, denominator) for w in weights)
 
 
 def mu_profile(
@@ -171,7 +179,7 @@ def mu_profile(
         raise ProfileMismatch(
             f"profile has {profile.steps} steps, filtration has {filtration.steps}"
         )
-    gamma, denominator = _scaled_block_weights(filtration)
+    gamma, denominator = scaled_block_weights(*_weights(filtration))
     return Fraction(-min(sum(gamma[i - 1] for i in t) for t in profile.tuples), denominator)
 
 
@@ -256,7 +264,7 @@ def admissible_deformation(
         raise ProfileMismatch(
             f"profile has {profile.steps} steps, filtration has {filtration.steps}"
         )
-    gamma = _scaled_block_weights(filtration)[0]
+    gamma = scaled_block_weights(*_weights(filtration))[0]
     sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
     minimum = min(sums.values())
     stack = [t for t, s in sums.items() if s == minimum]

@@ -15,6 +15,7 @@ vector) is the one copy that the other modules use.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,16 +23,25 @@ from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a Fraction; floats are rejected."""
+    """A Fraction (returned as it is), an int, or a "p" / "p/q" string, as a Fraction.
+
+    The one rational grammar of the library and of its JSON input:
+    floats, booleans and every other notation are rejected.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(f"a float is not an exact rational: {value!r}")
-    return Fraction(str(value))
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise TypeError(f'expected an integer or a "p/q" string, got {value!r}')
 
 
 def format_rational(value: Fraction) -> str:
@@ -130,24 +140,19 @@ class UniPoly:
         return UniPoly(tuple(factor * c for c in self.coefficients))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """Long division: each quotient coefficient from the top, then the low part."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coefficients)
         d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
+        divisor, lead = other.coefficients[:d], other.leading
+        rem = list(self.coefficients)
+        quot = [Fraction(0)] * max(0, len(rem) - d)
+        for shift in reversed(range(len(quot))):
+            factor = rem[shift + d] / lead
             quot[shift] = factor
-            for i, c in enumerate(other.coefficients):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= factor * c
-            rem.pop()
-        return UniPoly(tuple(quot)), UniPoly(tuple(rem))
+        return UniPoly(tuple(quot)), UniPoly(tuple(rem[:d]))
 
 
 def poly_order(p: UniPoly, q: UniPoly) -> Order:

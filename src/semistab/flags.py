@@ -13,6 +13,7 @@ from operator import index
 from typing import Sequence
 
 from . import _polyalg
+from .dispo import check_weights, scaled_block_weights
 from .errors import (
     DimensionMismatch,
     MalformedFiltration,
@@ -52,10 +53,7 @@ class WeightedFlag:
     basis_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.dims) != len(self.alphas):
-            raise MalformedFiltration("dims and alphas must have equal length")
-        if any(a <= 0 for a in self.alphas):
-            raise MalformedFiltration("alphas must be positive")
+        check_weights(self.dims, self.alphas, len(self.basis_order))
 
     def blocks(self) -> list[tuple[int, ...]]:
         """Basis indices of each eigenspace block, ascending weight."""
@@ -122,23 +120,20 @@ def weighted_flag_of(lam: OneParamSubgroup) -> WeightedFlag:
 def weight_vector_of_filtration(
     ranks: Sequence[int], alphas: Sequence[RationalLike], r: int
 ) -> WeightVector:
-    """Associated weight vector: the alpha-weighted sum of standard weight vectors."""
+    """Associated weight vector: the alpha-weighted sum of standard weight vectors.
+
+    Block b of the sum, the entries rk_b < a <= rk_{b+1}, is the b-th block
+    weight of `dispo.scaled_block_weights`.
+    """
     ranks = tuple(index(k) for k in ranks)
     r = index(r)
     alphas = tuple(rational(a) for a in alphas)
-    if len(ranks) != len(alphas):
-        raise MalformedFiltration("ranks and alphas must have equal length")
-    if any(a <= 0 for a in alphas):
-        raise MalformedFiltration("alphas must be positive")
-    if any(not 0 < ranks[i] < r for i in range(len(ranks))) or any(
-        ranks[i] >= ranks[i + 1] for i in range(len(ranks) - 1)
-    ):
-        raise MalformedFiltration(f"ranks must satisfy 0 < rk_1 < ... < rk_t < {r}")
-    entries = [Fraction(0)] * r
-    for rank_j, alpha_j in zip(ranks, alphas):
-        gamma = standard_weight_vector(r, rank_j)
-        for a in range(r):
-            entries[a] += alpha_j * gamma.entries[a]
+    check_weights(ranks, alphas, r)
+    weights, denominator = scaled_block_weights(ranks, alphas, r)
+    bounds = (0, *ranks, r)
+    entries: list[Fraction] = []
+    for w, low, high in zip(weights, bounds, bounds[1:]):
+        entries += [Fraction(w, denominator)] * (high - low)
     return WeightVector(tuple(entries))
 
 

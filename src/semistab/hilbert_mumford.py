@@ -22,6 +22,9 @@ from .feasibility import feasible_point
 from .flags import OneParamSubgroup
 
 GRID_RADIUS = 3
+# An unstable point scans all 7^r grid vectors; above this torus rank the
+# scan is refused (at rank 7, 823,543 vectors take about 0.6 s).
+GRID_RANK_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,12 @@ def sum_zero_grid(r: int, radius: int = GRID_RADIUS):
 def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
     """Decide instability over the fixed maximal torus.
 
-    Semistable verdicts carry an exact convex-combination certificate;
-    unstable verdicts carry a primitive integral destabilizer with mu < 0,
-    chosen lexicographically least among the primitive grid minimizers
-    when the small search grid already exhibits one.
+    Semistable verdicts carry an exact convex-combination certificate, at
+    any torus rank; unstable verdicts carry a primitive integral
+    destabilizer with mu < 0, chosen lexicographically least among the
+    primitive grid minimizers when the small search grid already exhibits
+    one.  An unstable point above torus rank `GRID_RANK_CAP` is refused
+    with `TooLarge` before the grid is scanned.
     """
     r = rep.torus_rank
     weights = [rep.weight_of(label) for label in point.support]
@@ -154,6 +159,11 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
         return TorusVerdict(True, certificate=cert)
 
     # Unstable: prefer a witness from the grid oracle's tie set.
+    if r > GRID_RANK_CAP:
+        raise TooLarge(
+            f"an unstable point at torus rank {r}: the destabilizer grid search "
+            f"is capped at rank {GRID_RANK_CAP}"
+        )
     best_mu = None
     best = None
     for vec in sum_zero_grid(r):

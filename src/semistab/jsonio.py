@@ -7,15 +7,14 @@ structures with deterministic ordering.
 
 Decoders read every object through `fields`, every array through
 `array`, every integer through `decode_int` and every rational through
-`decode_rational`: a value of the wrong JSON type, an unknown or missing
-key, a float or a boolean is rejected at every level instead of being
-truncated or coerced into the exact computation.
+`exactmath.rational`, whose grammar is a JSON integer or a "p" / "p/q"
+string: a value of the wrong JSON type, an unknown or missing key, a
+float or a boolean is rejected at every level instead of being truncated
+or coerced into the exact computation.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .classical import FlagStep, FormBundle, SplitSheafModel, SubsheafFlag, Symmetry
@@ -24,9 +23,6 @@ from .errors import MalformedFiltration, MalformedInput
 from .exactmath import UniPoly, format_rational, rational
 from .flags import OneParamSubgroup
 from .hilbert_mumford import RepPoint, TorusWeightRep
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def fields(data, where: str, required: tuple[str, ...], optional: Iterable[str] = ()) -> Mapping:
@@ -56,18 +52,6 @@ def decode_int(value) -> int:
     return value
 
 
-def decode_rational(value) -> Fraction:
-    """A JSON integer or a "p" / "p/q" string; floats and booleans are rejected."""
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f'expected an integer or a "p/q" string, got {value!r}')
-
-
 def encode_rational(value) -> str:
     return format_rational(rational(value))
 
@@ -77,7 +61,7 @@ def encode_poly(p: UniPoly) -> list[str]:
 
 
 def decode_poly(data) -> UniPoly:
-    return UniPoly(tuple(decode_rational(c) for c in array(data, "polynomial")))
+    return UniPoly(tuple(array(data, "polynomial")))
 
 
 def encode_subgroup(lam: OneParamSubgroup) -> list[int]:
@@ -103,7 +87,7 @@ def decode_rep(data) -> TorusWeightRep:
 def decode_point(data) -> RepPoint:
     # The keys are basis labels, so every key is allowed here; the rep checks them.
     data = fields(data, "point", (), data)
-    return RepPoint(tuple((k, decode_rational(v)) for k, v in data.items()))
+    return RepPoint(tuple(data.items()))
 
 
 def decode_filtration(data) -> FiltrationData:
@@ -113,7 +97,7 @@ def decode_filtration(data) -> FiltrationData:
         raise MalformedFiltration("a dispo filtration needs at least one member")
     return FiltrationData(
         decode_int(data["r"]),
-        decode_rational(data["d"]),
+        rational(data["d"]),
         decode_poly(data["P"]),
         tuple(_decode_member(m) for m in members),
     )
@@ -123,9 +107,9 @@ def _decode_member(data) -> FiltrationMember:
     data = fields(data, "member", ("rank", "degree", "hilb", "alpha"))
     return FiltrationMember(
         decode_int(data["rank"]),
-        decode_rational(data["degree"]),
+        rational(data["degree"]),
         decode_poly(data["hilb"]),
-        decode_rational(data["alpha"]),
+        rational(data["alpha"]),
     )
 
 
@@ -194,5 +178,5 @@ def _decode_step(data) -> FlagStep:
     columns = array(data["generators"], "generators")
     return FlagStep(
         tuple(tuple(decode_poly(p) for p in array(column, "column")) for column in columns),
-        decode_rational(data["alpha"]),
+        rational(data["alpha"]),
     )

@@ -72,6 +72,14 @@ def random_fraction(rng: random.Random, lo: int = -6, hi: int = 6) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
 
+def dense_columns(rng: random.Random, r: int, k: int, degree: int) -> tuple:
+    """k generator columns of length r, every entry of the given degree, coefficients in -4..4."""
+    def entry():
+        return UniPoly.of(*(rng.randint(-4, 4) for _ in range(degree)), rng.choice([-2, -1, 1, 2]))
+
+    return tuple(tuple(entry() for _ in range(r)) for _ in range(k))
+
+
 def random_positive_fraction(rng: random.Random, hi: int = 6) -> Fraction:
     return Fraction(rng.randint(1, hi), rng.randint(1, 4))
 

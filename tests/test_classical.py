@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 import sympy
@@ -43,6 +45,7 @@ from semistab.errors import (
 )
 
 from conftest import (
+    dense_columns,
     oracle_coordinate_chains,
     oracle_coordinate_flags,
     oracle_flag_ranks,
@@ -149,6 +152,39 @@ class TestSaturationDegree:
         with pytest.raises(TooLarge, match="has 2704156 maximal minors"):
             saturation_degree(model, step)
         assert saturation_degree(model, coordinate_flag([[1, 2, 3]], r=24).steps[0]) == 0
+
+    def test_dense_polynomial_minors_priced(self, monkeypatch):
+        """3,003 rank-8 minors at r = 14 of dense degree-1 columns took about a minute."""
+        import semistab._polyalg as polyalg
+
+        def no_minors(*args):
+            raise AssertionError("a minor was taken")
+
+        monkeypatch.setattr(polyalg, "maximal_minors", no_minors)
+        step = FlagStep(dense_columns(random.Random(14), 14, 8, 1), Fraction(1))
+        with pytest.raises(TooLarge, match=r"has 3003 maximal minors; C\(r, k\) \* 54630 \("):
+            saturation_degree(SplitSheafModel((0,) * 14), step)
+
+    def test_dense_step_under_the_cap(self):
+        """Computed, and equal to minus the largest degree of a minor over their gcd (sympy)."""
+        columns = dense_columns(random.Random(3), 6, 3, 2)
+        matrix = sympy.Matrix([[to_sympy(column[a]) for column in columns] for a in range(6)])
+        minors = [matrix.extract(list(rows), [0, 1, 2]).det() for rows in combinations(range(6), 3)]
+        content = reduce(sympy.gcd, minors)
+        expected = -max(sympy.degree(sympy.cancel(m / content), SYMPY_X) for m in minors)
+        step = FlagStep(columns, Fraction(1))
+        assert saturation_degree(SplitSheafModel((0,) * 6), step) == expected
+
+
+class TestCoordinateFlag:
+    def test_rank_is_required(self):
+        """Inferring r from the largest index gave [[1, 2]] columns of length 2, not 3."""
+        with pytest.raises(TypeError):
+            coordinate_flag([[1, 2]])
+        assert coordinate_flag([[1, 2]], r=3).steps[0].columns == (
+            (ONE, ZERO, ZERO),
+            (ZERO, ONE, ZERO),
+        )
 
 
 class TestFiltrationDataOf:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semistab.cli
-from conftest import run_semistab
+from conftest import dense_columns, run_semistab
+from semistab.jsonio import encode_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +96,14 @@ def _run_document(args, document, tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(document))
     return run_cli([*args, "--input", str(path)])
+
+
+def _unit_weight_document(r, support):
+    """`destabilize` on the standard weights e_1..e_r, at the point 1 on the first `support`."""
+    basis = [{"label": f"e{a}", "weight": [int(a == b) for b in range(1, r + 1)]} for a in range(1, r + 1)]
+    rep = {"torus_rank": r, "basis": basis}
+    point = {f"e{a}": "1" for a in range(1, support + 1)}
+    return {"schema_version": 1, "kind": "torus_rep", "payload": {"rep": rep, "point": point}}
 
 
 def _deep_payload_value():
@@ -347,6 +357,45 @@ class TestExitCodes:
             "error: a rank-12 step at rank 24 has 2704156 maximal minors; "
             "C(r, k) * (k^3 + 30) exceeds the cap 2000000\n"
         )
+
+    @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
+    def test_dense_step_above_the_minor_cap(self, check, tmp_path):
+        """The identity form at r = 14 with one step of 8 dense degree-1 columns.
+
+        Its 3,003 maximal minors were allowed at the price of coordinate
+        columns and took about a minute.
+        """
+        r = 14
+        entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
+        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
+        columns = dense_columns(random.Random(14), r, 8, 1)
+        generators = [[encode_poly(p) for p in column] for column in columns]
+        flags = [{"steps": [{"generators": generators, "alpha": "1"}]}]
+        payload = {"form": form, "check": check, "flags": flags}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        result = _run_document(["form-check"], document, tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a rank-8 step at rank 14 has 3003 maximal minors; "
+            "C(r, k) * 54630 (a minor of degree-1 columns) exceeds the cap 2000000\n"
+        )
+
+    def test_unstable_torus_point_above_the_grid_cap(self, tmp_path):
+        """An unstable rank-8 point used to scan all 7^8 grid vectors, for 4 to 7 s."""
+        result = _run_document(["destabilize"], _unit_weight_document(8, 3), tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: an unstable point at torus rank 8: "
+            "the destabilizer grid search is capped at rank 7\n"
+        )
+
+    def test_semistable_torus_point_above_the_grid_cap(self, tmp_path):
+        result = _run_document(["destabilize"], _unit_weight_document(9, 9), tmp_path)
+        assert result.returncode == 0, result.stderr
+        certificate = {"coefficients": {f"e{a}": "1/9" for a in range(1, 10)}, "multiple": "1/9"}
+        assert json.loads(result.stdout) == {"verdict": "semistable", "certificate": certificate}
 
     @pytest.mark.parametrize(
         "golden, args, path, where, key, dropped",

@@ -26,6 +26,7 @@ from semistab import (
     mu_profile,
     slope_parameter,
     slope_semistable,
+    standard_weight_vector,
     weight_vector_of_filtration,
 )
 from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
@@ -193,7 +194,7 @@ class TestMuProfile:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_block_weights_closed_form(self, data):
-        """The closed form equals the distinct entries of the weight vector."""
+        """The closed form equals the distinct entries of sum_j alpha_j gamma^(rk_j)."""
         r = data.draw(st.integers(2, 9))
         ranks = sorted(data.draw(st.sets(st.integers(1, r - 1))))
         alpha = st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6)
@@ -203,8 +204,11 @@ class TestMuProfile:
             for k, a in zip(ranks, alphas)
         )
         filtration = FiltrationData(r, Fraction(0), UniPoly.of(r, r), members)
-        entries = weight_vector_of_filtration(ranks, alphas, r).entries
+        entries = [Fraction(0)] * r
+        for k, a in zip(ranks, alphas):
+            entries = [e + a * g for e, g in zip(entries, standard_weight_vector(r, k).entries)]
         assert block_weights(filtration) == tuple(dict.fromkeys(entries))
+        assert weight_vector_of_filtration(ranks, alphas, r).entries == tuple(entries)
 
     def test_matches_oracle(self):
         rng = random.Random(999)

@@ -1,6 +1,7 @@
 """Exact rationals, canonical polynomials, and the asymptotic order."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ coeffs = st.lists(
     max_size=5,
 )
 polys = coeffs.map(lambda cs: UniPoly(tuple(cs)))
+SMALL = st.fractions(-9, 9, max_denominator=9)
 
 
 def _horner(p, point):
@@ -30,6 +32,28 @@ class TestRational:
         assert rational(3) == Fraction(3)
         assert rational("2/4") == Fraction(1, 2)
         assert rational(Fraction(5, 7)) == Fraction(5, 7)
+
+    def test_the_json_grammar(self):
+        """An int, a Fraction, or [+-]digits[/digits]."""
+        assert rational("-2/4") == Fraction(-1, 2)
+        assert rational("+3") == Fraction(3)
+        assert rational(3) == Fraction(3)
+        fraction = Fraction(5, 7)
+        assert rational(fraction) is fraction
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0.5", "1e3", " 1/2", "1_000", True, Decimal("0.5")],
+        ids=["decimal", "exponent", "space", "underscore", "bool", "Decimal"],
+    )
+    def test_other_notations_rejected(self, value):
+        """Each of these used to be read as a rational outside the JSON decoders."""
+        with pytest.raises(TypeError, match='expected an integer or a "p/q" string'):
+            rational(value)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational("1/0")
 
     @pytest.mark.parametrize("value", [0.1, 1.0, -2.5])
     def test_float_rejected(self, value):
@@ -63,6 +87,15 @@ class TestUniPoly:
         quot, rem = divmod(p, q)
         assert quot == UniPoly.of(-1, 1)
         assert rem.is_zero()
+
+    @given(
+        st.lists(SMALL, max_size=7), st.lists(SMALL, max_size=3), SMALL.filter(bool)
+    )
+    def test_divmod_identity(self, high, low, lead):
+        p, q = UniPoly(tuple(high)), UniPoly(tuple(low) + (lead,))
+        quot, rem = divmod(p, q)
+        assert quot * q + rem == p
+        assert rem.degree < q.degree
 
     @given(polys)
     def test_zero_operand_gives_the_canonical_polynomial(self, p):

@@ -8,6 +8,7 @@ import sympy
 
 from semistab import (
     OneParamSubgroup,
+    WeightedFlag,
     integral_subgroup_of,
     parabolic_member,
     standard_weight_vector,
@@ -58,6 +59,15 @@ class TestWeightedFlagOf:
     def test_trivial_rejected(self):
         with pytest.raises(TrivialSubgroup):
             weighted_flag_of(OneParamSubgroup((0, 0)))
+
+    def test_dims_must_rise_inside_the_rank(self):
+        """Only the lengths and the alphas used to be checked."""
+        for dims in [(2, 1), (1, 1), (0, 1), (1, 3)]:
+            with pytest.raises(MalformedFiltration, match="member ranks must satisfy"):
+                WeightedFlag(dims, (1, 1), (1, 2, 3))
+        with pytest.raises(MalformedFiltration, match="equal length"):
+            WeightedFlag((1,), (1, 1), (1, 2, 3))
+        assert WeightedFlag((1, 2), (1, 1), (1, 2, 3)).blocks() == [(1,), (2,), (3,)]
 
     def test_stable_tie_order(self):
         f = weighted_flag_of(OneParamSubgroup((1, -1, 1, -1)))

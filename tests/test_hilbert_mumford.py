@@ -26,6 +26,13 @@ FULL = RepPoint((("e1", Fraction(1)), ("e2", Fraction(1))))
 E1_ONLY = RepPoint((("e1", Fraction(1)),))
 
 
+def _unit_weights(r, support):
+    """The standard weights e_1..e_r and the point 1 on the first `support` of them."""
+    basis = tuple((f"e{a + 1}", tuple(int(a == b) for b in range(r))) for a in range(r))
+    point = RepPoint(tuple((f"e{a + 1}", Fraction(1)) for a in range(support)))
+    return TorusWeightRep(r, basis), point
+
+
 def grid_verdict(rep, point):
     """Independent oracle: minimize mu over sum-zero lambda in {-3..3}^r."""
     weights = [rep.weight_of(label) for label in point.support]
@@ -138,6 +145,25 @@ class TestTorusDestabilize:
                 assert not grid_verdict(rep, point)
             else:
                 assert mu(rep, verdict.destabilizer, point) < 0
+
+    def test_unstable_point_above_the_grid_cap(self, monkeypatch):
+        """Refused before the 7^8 grid: the scan took 4 to 7 s at rank 8."""
+        import semistab.hilbert_mumford as hm
+
+        def no_scan(*args):
+            raise AssertionError("the grid was scanned")
+
+        monkeypatch.setattr(hm, "sum_zero_grid", no_scan)
+        rep, point = _unit_weights(hm.GRID_RANK_CAP + 1, support=3)
+        with pytest.raises(TooLarge, match="capped at rank 7"):
+            torus_destabilize(rep, point)
+
+    def test_semistable_point_above_the_grid_cap(self):
+        """The hull LP alone settles a semistable point, at any rank."""
+        rep, point = _unit_weights(9, support=9)
+        verdict = torus_destabilize(rep, point)
+        assert verdict.semistable
+        assert verdict.certificate.verify(rep, point)
 
     def test_destabilizer_normalization(self):
         """Primitive and lexicographically least among grid minimizers."""
