@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import index, le, or_
+from operator import le, or_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _polyalg
@@ -69,7 +69,7 @@ from .errors import (
     NotCoordinateFlag,
     TooLarge,
 )
-from .exactmath import RationalLike, UniPoly, rational
+from .exactmath import RationalLike, UniPoly, integer, rational
 
 EXHAUSTIVE_RANK_CAP = 7
 # A rank-k step at rank r has C(r, k) maximal minors, each a k x k Bareiss
@@ -95,7 +95,7 @@ class SplitSheafModel:
     summand_degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = tuple(index(d) for d in self.summand_degrees)
+        degrees = tuple(map(integer, self.summand_degrees))
         if sum(degrees) != 0:
             raise MalformedFlag(f"summand degrees must sum to zero: {degrees}")
         object.__setattr__(self, "summand_degrees", degrees)
@@ -182,15 +182,16 @@ def coordinate_flag(
     chain: Sequence[Sequence[int]], alphas: Optional[Sequence[RationalLike]] = None, *, r: int
 ) -> SubsheafFlag:
     """Flag of O^r whose steps are spans of standard basis vectors (1-based indices)."""
+    r = integer(r)
     if alphas is None:
         alphas = [1] * len(chain)
     steps = []
     for subset, alpha in zip(chain, alphas):
         columns = []
-        for k in sorted(subset):
+        for k in sorted(map(integer, subset)):
             column = tuple(_ONE if a == k else _ZERO for a in range(1, r + 1))
             columns.append(column)
-        steps.append(FlagStep(tuple(columns), rational(alpha)))
+        steps.append(FlagStep(tuple(columns), alpha))
     return SubsheafFlag(tuple(steps))
 
 
@@ -240,13 +241,17 @@ def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
     columns fill the elimination: with entries of degree at most d, stage s
     makes (k - s)^2 entries of degree about s d, each from polynomial
     products of (s d + 1)^2 coefficient products plus a fixed cost of
-    about 2, at 25 units per coefficient product.
+    about 2, at 25 units per coefficient product.  The content gcd runs
+    Euclid on primitive parts over minors of degree up to k d, whose
+    coefficients grow with k: about k (k d)^3 / 8 units.  A minor is
+    priced at the larger of the two.
     """
     k = len(columns)
     d = max(p.degree for column in columns for p in column)
     if d == 0 and all(sum(not p.is_zero() for p in column) == 1 for column in columns):
         return k**3 + 30, "(k^3 + 30)"
-    price = 25 * sum((k - s) ** 2 * ((s * d + 1) ** 2 + 2) for s in range(1, k)) + 30
+    bareiss = 25 * sum((k - s) ** 2 * ((s * d + 1) ** 2 + 2) for s in range(1, k)) + 30
+    price = max(bareiss, k * (k * d) ** 3 // 8)
     return price, f"{price} (a minor of degree-{d} columns)"
 
 

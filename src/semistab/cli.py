@@ -16,6 +16,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from . import classical, dispo, hilbert_mumford, jsonio, repdata
 from .errors import MalformedInput, SemistabError
+from .exactmath import integer
 
 SCHEMA_VERSION = 1
 
@@ -32,7 +33,7 @@ def _load_instance(path: Optional[str], kind: str, required: tuple, optional=())
         raise MalformedInput(f"cannot read instance file: {exc}") from exc
     envelope = jsonio.fields(data, "instance file", ("schema_version", "kind", "payload"))
     try:
-        version = jsonio.decode_int(envelope["schema_version"])
+        version = integer(envelope["schema_version"])
     except TypeError:
         version = None
     if version != SCHEMA_VERSION:

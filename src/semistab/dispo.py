@@ -27,7 +27,7 @@ from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidDelta, MalformedFiltration, ProfileMismatch
-from .exactmath import Order, UniPoly, is_positive, poly_order, rational
+from .exactmath import Order, UniPoly, integer, is_positive, poly_order, rational
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class FiltrationMember:
     alpha: Fraction
 
     def __post_init__(self) -> None:
+        integer(self.rank)
         object.__setattr__(self, "degree", rational(self.degree))
         object.__setattr__(self, "alpha", rational(self.alpha))
 
@@ -52,6 +53,7 @@ class FiltrationData:
     members: tuple[FiltrationMember, ...]
 
     def __post_init__(self) -> None:
+        integer(self.total_rank)
         object.__setattr__(self, "total_degree", rational(self.total_degree))
         check_weights(*_weights(self))
         for m in self.members:
@@ -78,7 +80,9 @@ class NonvanishingProfile:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        tuples = frozenset(tuple(sorted(t)) for t in self.tuples)
+        integer(self.steps)
+        integer(self.tuple_len)
+        tuples = frozenset(tuple(sorted(map(integer, t))) for t in self.tuples)
         object.__setattr__(self, "tuples", tuples)
         for t in tuples:
             if len(t) != self.tuple_len:
@@ -171,16 +175,23 @@ def block_weights(filtration: FiltrationData) -> tuple[Fraction, ...]:
     return tuple(Fraction(w, denominator) for w in weights)
 
 
-def mu_profile(
-    filtration: FiltrationData, profile: NonvanishingProfile
-) -> Fraction:
-    """Negative minimum, over the profile, of the summed block weights."""
+def _weight_sums(filtration: FiltrationData, profile: NonvanishingProfile) -> tuple[list, int]:
+    """The summed block weights times D of each tuple, in `profile.tuples` order, and D."""
     if profile.steps != filtration.steps:
         raise ProfileMismatch(
             f"profile has {profile.steps} steps, filtration has {filtration.steps}"
         )
     gamma, denominator = scaled_block_weights(*_weights(filtration))
-    return Fraction(-min(sum(gamma[i - 1] for i in t) for t in profile.tuples), denominator)
+    weight = (0, *gamma).__getitem__  # tuple entries count from 1
+    return [sum(map(weight, t)) for t in profile.tuples], denominator
+
+
+def mu_profile(
+    filtration: FiltrationData, profile: NonvanishingProfile
+) -> Fraction:
+    """Negative minimum, over the profile, of the summed block weights."""
+    sums, denominator = _weight_sums(filtration, profile)
+    return Fraction(-min(sums), denominator)
 
 
 ModelEntry = tuple[FiltrationData, NonvanishingProfile]
@@ -260,14 +271,9 @@ def admissible_deformation(
     Keeps exactly the tuples achieving the minimal weight sum, then closes
     them under covers; preserves M and mu and is idempotent.
     """
-    if profile.steps != filtration.steps:
-        raise ProfileMismatch(
-            f"profile has {profile.steps} steps, filtration has {filtration.steps}"
-        )
-    gamma = scaled_block_weights(*_weights(filtration))[0]
-    sums = {t: sum(gamma[i - 1] for i in t) for t in profile.tuples}
-    minimum = min(sums.values())
-    stack = [t for t, s in sums.items() if s == minimum]
+    sums = _weight_sums(filtration, profile)[0]
+    minimum = min(sums)
+    stack = [t for t, s in zip(profile.tuples, sums) if s == minimum]
     closed = set(stack)
     while stack:
         fresh = set(_covers(stack.pop(), profile.steps + 1)) - closed

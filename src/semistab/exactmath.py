@@ -44,6 +44,13 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f'expected an integer or a "p/q" string, got {value!r}')
 
 
+def integer(value) -> int:
+    """An int that is not a bool: the one integer grammar of the library and of its JSON input."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise."""
     value = Fraction(value)
@@ -177,11 +184,16 @@ def is_positive(delta: UniPoly) -> bool:
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over Q[x]; gcd(0, 0) = 0."""
+    """Monic gcd over Q[x]; gcd(0, 0) = 0.
+
+    Euclid on primitive parts: each remainder is replaced by its primitive
+    integral multiple, which has the same gcd, so the coefficients stay
+    integers of bounded size instead of fractions that grow at every step.
+    """
     a, b = p, q
     while not b.is_zero():
         _, r = divmod(a, b)
-        a, b = b, r
+        a, b = b, UniPoly(primitive_vector(r.coefficients))
     if a.is_zero():
         return a
     return a.scale(Fraction(1) / a.leading)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from typing import Sequence
 
 from . import _polyalg
@@ -21,7 +20,7 @@ from .errors import (
     SingularMatrix,
     TrivialSubgroup,
 )
-from .exactmath import RationalLike, UniPoly, primitive_vector, rational
+from .exactmath import RationalLike, UniPoly, integer, primitive_vector, rational
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class OneParamSubgroup:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(index(w) for w in self.weights)
+        weights = tuple(map(integer, self.weights))
         if sum(weights) != 0:
             raise MalformedFiltration(f"weights must sum to zero: {weights}")
         object.__setattr__(self, "weights", weights)
@@ -53,7 +52,12 @@ class WeightedFlag:
     basis_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_weights(self.dims, self.alphas, len(self.basis_order))
+        dims, order = tuple(map(integer, self.dims)), tuple(map(integer, self.basis_order))
+        alphas = tuple(map(rational, self.alphas))
+        check_weights(dims, alphas, len(order))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "basis_order", order)
 
     def blocks(self) -> list[tuple[int, ...]]:
         """Basis indices of each eigenspace block, ascending weight."""
@@ -125,9 +129,8 @@ def weight_vector_of_filtration(
     Block b of the sum, the entries rk_b < a <= rk_{b+1}, is the b-th block
     weight of `dispo.scaled_block_weights`.
     """
-    ranks = tuple(index(k) for k in ranks)
-    r = index(r)
-    alphas = tuple(rational(a) for a in alphas)
+    ranks, r = tuple(map(integer, ranks)), integer(r)
+    alphas = tuple(map(rational, alphas))
     check_weights(ranks, alphas, r)
     weights, denominator = scaled_block_weights(ranks, alphas, r)
     bounds = (0, *ranks, r)

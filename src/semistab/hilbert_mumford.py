@@ -17,7 +17,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, TooLarge, TrivialSubgroup
-from .exactmath import primitive_vector, rational
+from .exactmath import integer, primitive_vector, rational
 from .feasibility import feasible_point
 from .flags import OneParamSubgroup
 
@@ -35,6 +35,9 @@ class TorusWeightRep:
     basis: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
+        integer(self.torus_rank)
+        basis = tuple((label, tuple(map(integer, weight))) for label, weight in self.basis)
+        object.__setattr__(self, "basis", basis)
         if not self.basis:
             raise DimensionMismatch("basis must be nonempty")
         labels = [label for label, _ in self.basis]

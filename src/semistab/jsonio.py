@@ -5,12 +5,16 @@ are coefficient arrays with the constant term first, tuples of indices
 are arrays of integers.  All emitters produce plain JSON-compatible
 structures with deterministic ordering.
 
-Decoders read every object through `fields`, every array through
-`array`, every integer through `decode_int` and every rational through
-`exactmath.rational`, whose grammar is a JSON integer or a "p" / "p/q"
-string: a value of the wrong JSON type, an unknown or missing key, a
-float or a boolean is rejected at every level instead of being truncated
-or coerced into the exact computation.
+Decoders check JSON shape only: every object through `fields` (an
+unknown or missing key is rejected), every array through `array`, and
+basis labels and the form symmetry by value.  Scalars go to the
+constructors as they are, and the types that hold them read them:
+integers through `exactmath.integer` (`OneParamSubgroup`,
+`TorusWeightRep`, `FiltrationData`, `FiltrationMember`,
+`NonvanishingProfile`, `SplitSheafModel`), rationals through
+`exactmath.rational` (`UniPoly`, `RepPoint`, `FiltrationData`,
+`FiltrationMember`, `FlagStep`).  A float or a boolean is rejected there
+instead of being truncated or coerced into the exact computation.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ def array(data, where: str) -> list:
     return data
 
 
-def decode_int(value) -> int:
-    """A JSON integer; floats, booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def encode_rational(value) -> str:
     return format_rational(rational(value))
 
@@ -69,7 +66,7 @@ def encode_subgroup(lam: OneParamSubgroup) -> list[int]:
 
 
 def decode_subgroup(data) -> OneParamSubgroup:
-    return OneParamSubgroup(tuple(decode_int(w) for w in array(data, "lambda")))
+    return OneParamSubgroup(array(data, "lambda"))
 
 
 def decode_rep(data) -> TorusWeightRep:
@@ -80,8 +77,8 @@ def decode_rep(data) -> TorusWeightRep:
         label = item["label"]
         if not isinstance(label, str):
             raise MalformedInput(f"a basis label must be a JSON string, got {type(label).__name__}")
-        basis.append((label, tuple(decode_int(w) for w in array(item["weight"], "weight"))))
-    return TorusWeightRep(decode_int(data["torus_rank"]), tuple(basis))
+        basis.append((label, array(item["weight"], "weight")))
+    return TorusWeightRep(data["torus_rank"], basis)
 
 
 def decode_point(data) -> RepPoint:
@@ -96,21 +93,13 @@ def decode_filtration(data) -> FiltrationData:
     if not members:
         raise MalformedFiltration("a dispo filtration needs at least one member")
     return FiltrationData(
-        decode_int(data["r"]),
-        rational(data["d"]),
-        decode_poly(data["P"]),
-        tuple(_decode_member(m) for m in members),
+        data["r"], data["d"], decode_poly(data["P"]), tuple(_decode_member(m) for m in members)
     )
 
 
 def _decode_member(data) -> FiltrationMember:
     data = fields(data, "member", ("rank", "degree", "hilb", "alpha"))
-    return FiltrationMember(
-        decode_int(data["rank"]),
-        rational(data["degree"]),
-        decode_poly(data["hilb"]),
-        rational(data["alpha"]),
-    )
+    return FiltrationMember(data["rank"], data["degree"], decode_poly(data["hilb"]), data["alpha"])
 
 
 def encode_profile(p: NonvanishingProfile) -> dict:
@@ -123,14 +112,8 @@ def encode_profile(p: NonvanishingProfile) -> dict:
 
 def decode_profile(data) -> NonvanishingProfile:
     data = fields(data, "profile", ("t", "tuple_len", "tuples"))
-    return NonvanishingProfile(
-        decode_int(data["t"]),
-        decode_int(data["tuple_len"]),
-        frozenset(
-            tuple(decode_int(i) for i in array(t, "tuple"))
-            for t in array(data["tuples"], "tuples")
-        ),
-    )
+    tuples = [array(t, "tuple") for t in array(data["tuples"], "tuples")]
+    return NonvanishingProfile(data["t"], data["tuple_len"], tuples)
 
 
 def decode_entries(data) -> list[ModelEntry]:
@@ -140,7 +123,7 @@ def decode_entries(data) -> list[ModelEntry]:
 
 
 def decode_model(degrees) -> SplitSheafModel:
-    return SplitSheafModel(tuple(decode_int(d) for d in array(degrees, "degrees")))
+    return SplitSheafModel(array(degrees, "degrees"))
 
 
 def decode_form_bundle(data) -> FormBundle:
@@ -178,5 +161,5 @@ def _decode_step(data) -> FlagStep:
     columns = array(data["generators"], "generators")
     return FlagStep(
         tuple(tuple(decode_poly(p) for p in array(column, "column")) for column in columns),
-        rational(data["alpha"]),
+        data["alpha"],
     )

@@ -10,6 +10,7 @@ from math import factorial
 from typing import Iterable, Union
 
 from .errors import InvalidRank, NotExceptional
+from .exactmath import integer
 
 _EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 _CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -29,7 +30,7 @@ class DynkinType:
                 raise InvalidRank(f"{family} has fixed rank {expected}, got {rank}")
             object.__setattr__(self, "rank", expected)
         elif family in _CLASSICAL_MIN_RANK:
-            if self.rank < _CLASSICAL_MIN_RANK[family]:
+            if integer(self.rank) < _CLASSICAL_MIN_RANK[family]:
                 raise InvalidRank(
                     f"type {family} needs rank >= {_CLASSICAL_MIN_RANK[family]}, "
                     f"got {self.rank}"

@@ -1,6 +1,7 @@
 """Form bundles on split models: invariants, verdicts, duality."""
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -174,6 +175,39 @@ class TestSaturationDegree:
         expected = -max(sympy.degree(sympy.cancel(m / content), SYMPY_X) for m in minors)
         step = FlagStep(columns, Fraction(1))
         assert saturation_degree(SplitSheafModel((0,) * 6), step) == expected
+
+    @staticmethod
+    def _common_factor_step(degree):
+        """The column (p g, q g), p and q of the given degree and g of degree 5, on its model."""
+        rng = random.Random(degree)
+        (p, q), ((g,),) = dense_columns(rng, 2, 1, degree)[0], dense_columns(rng, 1, 1, 5)
+        top = degree + 5
+        return SplitSheafModel((top, -top)), FlagStep(((p * g, q * g),), Fraction(1))
+
+    def test_high_degree_content(self):
+        """Euclid over Q took about 30 s on this step; on primitive parts it takes about 0.3 s."""
+        model, step = self._common_factor_step(120)
+        entries = [to_sympy(p) for p in step.columns[0]]
+        content = sympy.gcd(*entries)
+        expected = min(
+            d - sympy.degree(sympy.cancel(e / content), SYMPY_X)
+            for d, e in zip(model.summand_degrees, entries)
+        )
+        start = time.perf_counter()
+        assert saturation_degree(model, step) == expected
+        assert time.perf_counter() - start < 3
+
+    def test_content_gcd_priced(self, monkeypatch):
+        """A rank-1 step used to be priced at 30 units whatever its degree."""
+        import semistab._polyalg as polyalg
+
+        def no_gcd(*args):
+            raise AssertionError("a gcd was taken")
+
+        monkeypatch.setattr(polyalg, "poly_gcd", no_gcd)
+        model, step = self._common_factor_step(400)
+        with pytest.raises(TooLarge, match=r"C\(r, k\) \* 8303765 \(a minor of degree-405 columns\)"):
+            saturation_degree(model, step)
 
 
 class TestCoordinateFlag:

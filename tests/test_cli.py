@@ -641,6 +641,30 @@ def test_mutated_golden_exits_cleanly(case):
     )
 
 
+# The golden rank-2 filtration has block weights (-1, 1) and M = L = 0, so
+# mu is 2 on the full profile and -2 on the kernel profile {(2, 2)}.
+PROFILES = {"semistable": [[1, 1], [1, 2], [2, 2]], "violated": [[2, 2]]}
+MODE_PARAMETERS = {"asymptotic": {}, "delta": {"delta": ["0", "1"]}, "slope": {"delta_bar": "1"}}
+
+
+@pytest.mark.parametrize("fail_on_unstable", [False, True], ids=["plain", "fail-on-unstable"])
+@pytest.mark.parametrize("verdict", list(PROFILES))
+@pytest.mark.parametrize("mode", list(MODE_PARAMETERS))
+def test_dispo_check_modes(mode, verdict, fail_on_unstable):
+    document = json.loads((GOLDEN / "dispocheck_kernel.json").read_text())
+    payload = document["payload"]
+    del payload["delta"]
+    payload.update(mode=mode, **MODE_PARAMETERS[mode])
+    payload["entries"][0]["profile"]["tuples"] = PROFILES[verdict]
+    argv = ["dispo-check", *(["--fail-on-unstable"] if fail_on_unstable else [])]
+    code, out, err = _run_in_process(argv, json.dumps(document))
+    if verdict == "semistable":
+        assert (code, out) == (0, '{"verdict":"semistable"}\n')
+    else:
+        assert (code, out) == (int(fail_on_unstable), '{"verdict":"violated","witness_index":0}\n')
+    assert err == ""
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_determinism(self):
         first = run_cli(["form-check", "--input", "formcheck_degenerate.json"])

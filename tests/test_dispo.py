@@ -111,6 +111,18 @@ class TestValidation:
         with pytest.raises(ProfileMismatch):
             NonvanishingProfile(1, 2, frozenset({(2, 2), (2, 3)}))
 
+    def test_tuple_length(self):
+        with pytest.raises(ProfileMismatch, match=r"^tuple \(2,\) has length 1, expected 2$"):
+            NonvanishingProfile(1, 2, frozenset({(2,)}))
+
+    def test_member_hilbert_polynomial_below_the_total(self):
+        member = FiltrationMember(1, Fraction(0), UniPoly.of(2, 2), Fraction(1))
+        with pytest.raises(
+            MalformedFiltration,
+            match="^member Hilbert polynomial must be asymptotically below the total$",
+        ):
+            FiltrationData(2, Fraction(0), UniPoly.of(2, 2), (member,))
+
     def test_tuples_sorted_on_intake(self):
         p = NonvanishingProfile(1, 2, frozenset({(2, 1), (2, 2)}))
         assert p.tuples == frozenset({(1, 2), (2, 2)})
@@ -382,6 +394,10 @@ class TestDeformation:
     def test_top_only(self):
         f = rank2_filtration()
         assert admissible_deformation(f, KERNEL_PROFILE) == KERNEL_PROFILE
+
+    def test_step_mismatch(self):
+        with pytest.raises(ProfileMismatch, match="^profile has 2 steps, filtration has 1$"):
+            admissible_deformation(rank2_filtration(), full_profile(2, 2))
 
     def test_closure_restored(self):
         f = rank2_filtration()

@@ -1,6 +1,7 @@
 """Exact rationals, canonical polynomials, and the asymptotic order."""
 
 import itertools
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,8 +9,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semistab import Order, UniPoly, format_rational, is_positive, poly_order, rational
-from semistab.exactmath import poly_gcd
+from semistab import (
+    DynkinType,
+    FiltrationData,
+    FiltrationMember,
+    NonvanishingProfile,
+    OneParamSubgroup,
+    Order,
+    SplitSheafModel,
+    TorusWeightRep,
+    UniPoly,
+    WeightedFlag,
+    coordinate_flag,
+    format_rational,
+    is_positive,
+    poly_order,
+    rational,
+)
+from semistab.exactmath import integer, poly_gcd
 from semistab.jsonio import decode_poly, encode_poly
 
 coeffs = st.lists(
@@ -67,6 +84,51 @@ class TestRational:
         assert format_rational(Fraction(3)) == "3"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
         assert rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+
+
+class TestInteger:
+    def test_ints_returned(self):
+        assert integer(-7) == -7
+        assert integer(0) == 0
+
+    @pytest.mark.parametrize(
+        "value", [1.5, 1.0, -0.0, True, False, "1", None, [1], Fraction(1), Decimal(1)]
+    )
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(TypeError, match=f"expected an integer, got {re.escape(repr(value))}$"):
+            integer(value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TorusWeightRep(2, (("e1", (0.5, -0.5)),)),
+            lambda: TorusWeightRep(2.0, (("e1", (1, -1)),)),
+            lambda: NonvanishingProfile(1.0, 1, frozenset({(2,), (1,)})),
+            lambda: NonvanishingProfile(1, 1, frozenset({(2.0,), (1,)})),
+            lambda: FiltrationMember(1.5, 0, UniPoly.of(1, 1), 1),
+            lambda: FiltrationData(
+                3.0, 0, UniPoly.of(3, 3), (FiltrationMember(1, 0, UniPoly.of(1, 1), 1),)
+            ),
+            lambda: WeightedFlag((1.0,), (1,), (1, 2)),
+            lambda: DynkinType("A", 2.5),
+            lambda: coordinate_flag([[1.0]], r=2),
+            lambda: OneParamSubgroup((True, -1)),
+            lambda: SplitSheafModel((True, -1)),
+        ],
+        ids=[
+            "torus-weight", "torus-rank", "profile-steps", "profile-entry", "member-rank",
+            "total-rank", "flag-dims", "dynkin-rank", "coordinate-index", "subgroup-bool",
+            "model-bool",
+        ],
+    )
+    def test_types_read_integers(self, build):
+        """Each of these was accepted (a float kept or a bool read as 1) before."""
+        with pytest.raises(TypeError, match="^expected an integer, got "):
+            build()
+
+    def test_flag_alpha_read_as_a_rational(self):
+        with pytest.raises(TypeError, match='expected an integer or a "p/q" string, got 0.5'):
+            WeightedFlag((1,), (0.5,), (1, 2))
 
 
 class TestUniPoly:

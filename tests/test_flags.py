@@ -228,5 +228,6 @@ class TestIntegersOnly:
             weight_vector_of_filtration([1], [0.5], 3)
 
     def test_integers_still_read(self):
-        assert OneParamSubgroup((True, -1)).weights == (1, -1)
+        with pytest.raises(TypeError, match="expected an integer, got True"):
+            OneParamSubgroup((True, -1))
         assert weight_vector_of_filtration((1,), (1,), 2).entries == frac(-1, 1)

@@ -1,6 +1,7 @@
 """Mu pairings, instability decisions, and combinatorial dimensions."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -47,6 +48,23 @@ def grid_verdict(rep, point):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_library_grid_matches_independent_enumeration(r):
     assert list(sum_zero_grid(r)) == grid_vectors(r)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TorusWeightRep(2, ()), "basis must be nonempty"),
+            (lambda: TorusWeightRep(2, (("e1", (1,)),)), "weight of 'e1' has length 1, expected 2"),
+            (lambda: STANDARD.weight_of("e3"), "unknown basis label 'e3'"),
+            (lambda: RepPoint(()), "point must have nonempty support"),
+            (lambda: RepPoint((("e1", 1), ("e2", 0))), "stored coordinates must be nonzero"),
+        ],
+        ids=["empty-basis", "weight-length", "unknown-label", "empty-point", "zero-coordinate"],
+    )
+    def test_rejected(self, build, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestMu:
