@@ -38,7 +38,9 @@ the other flags score, and it never counts for `ramanathan_semistable`,
 which asks only about flags with mu = 0.  For either flag source, one
 generic rank of Phi tells the two cases apart before any flag is scored,
 and only a `semistable_form` check builds K and confirms it generically.
-Supplied flags are then scored one by one through the form's memo below.
+Supplied flags are then scored one by one.  Scoring is a pure function of
+the form and the flag: one pass checks the flag rule and finds each step's
+basis, then `filtration_data_of` takes the minors and `form_profile` Phi w.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from operator import le, or_
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _polyalg
 from .dispo import (
@@ -145,8 +147,6 @@ class FormBundle:
                 raise MalformedFlag("antisymmetric form must have zero diagonal")
         if not nontrivial:
             raise MalformedFlag("form must be nontrivial")
-        # Filled by `_memoised`; not a field, so not in ==, hash or repr.
-        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,6 @@ class FlagStep:
             raise MalformedFlag("alpha must be positive")
         if not self.columns:
             raise MalformedFlag("a flag step needs at least one generator")
-        # Steps key the form's memo, so hash the polynomial columns once.
-        object.__setattr__(self, "_hash", hash((self.columns, self.alpha)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -202,35 +197,53 @@ def _step_matrix(step: FlagStep, r: int) -> list[list[UniPoly]]:
     return [[column[a] for column in step.columns] for a in range(r)]
 
 
-def _invariants(model: SplitSheafModel, step: FlagStep) -> tuple[int, Optional[int]]:
-    """Generic rank and saturation degree of one step (degree None at rank 0).
+def _basis(r: int, step: FlagStep) -> list[tuple[UniPoly, ...]]:
+    """The greedy independent columns of one step over Q(x).
 
-    With the content g of the maximal minors removed, the degree is the
-    minimum over row subsets S of (sum of summand degrees over S) minus
-    deg of the reduced minor.
+    Each elimination is priced before it runs and refused over
+    `MINOR_WORK_CAP`: the r x m echelon as if its m columns had full rank,
+    then the C(r, k) maximal minors of the rank-k basis.
     """
-    r = model.rank
     matrix = _step_matrix(step, r)
-    basis = _polyalg.independent_columns(matrix)
-    if not basis:
-        return 0, None
-    k = len(basis)
-    price, priced_as = _minor_price([step.columns[c] for c in basis])
-    if comb(r, k) * price > MINOR_WORK_CAP:
+    m = len(step.columns)
+    d = max((p.degree for column in step.columns for p in column), default=-1)
+    price = _elimination_price(r, m, d)
+    if price > MINOR_WORK_CAP:
         raise TooLarge(
-            f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
-            f"C(r, k) * {priced_as} exceeds the cap {MINOR_WORK_CAP}"
+            f"a step of {m} generator columns at rank {r} costs {price} units to eliminate "
+            f"(columns of degree {d}); this exceeds the cap {MINOR_WORK_CAP}"
         )
-    # The minors are those of a basis: the independent columns only.
-    matrix = [[row[c] for c in basis] for row in matrix]
-    minors = _polyalg.maximal_minors(matrix, k)
+    basis = [step.columns[c] for c in _polyalg.independent_columns(matrix)]
+    k = len(basis)
+    if k:
+        price, priced_as = _minor_price(basis)
+        if comb(r, k) * price > MINOR_WORK_CAP:
+            raise TooLarge(
+                f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
+                f"C(r, k) * {priced_as} exceeds the cap {MINOR_WORK_CAP}"
+            )
+    return basis
+
+
+def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> int:
+    """Saturation degree of the span of a nonempty basis: with the content g
+    of the maximal minors removed, the minimum over row subsets S of (sum of
+    summand degrees over S) minus deg of the reduced minor."""
+    matrix = [[column[a] for column in basis] for a in range(model.rank)]
+    minors = _polyalg.maximal_minors(matrix, len(basis))
     content = _polyalg.poly_content(list(minors.values()))
-    degree = min(
+    return min(
         sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
         for subset, minor in minors.items()
         if not minor.is_zero()
     )
-    return k, degree
+
+
+def _elimination_price(r: int, k: int, d: int) -> int:
+    """Work units of a Bareiss elimination of r x k columns of degree at most d: stage s
+    makes (r - s)(k - s) entries of degree about s d, each from polynomial products of
+    (s d + 1)^2 coefficient products plus a fixed cost of about 2, at 25 units each."""
+    return 25 * sum((r - s) * (k - s) * ((s * d + 1) ** 2 + 2) for s in range(1, min(r, k))) + 30
 
 
 def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
@@ -238,122 +251,65 @@ def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
 
     Coordinate columns (one constant nonzero entry each) keep their minors
     sparse: about k^3 products on top of a fixed cost of about 30.  Other
-    columns fill the elimination: with entries of degree at most d, stage s
-    makes (k - s)^2 entries of degree about s d, each from polynomial
-    products of (s d + 1)^2 coefficient products plus a fixed cost of
-    about 2, at 25 units per coefficient product.  The content gcd runs
-    Euclid on primitive parts over minors of degree up to k d, whose
-    coefficients grow with k: about k (k d)^3 / 8 units.  A minor is
-    priced at the larger of the two.
+    columns fill the k x k elimination, and the content gcd runs Euclid on
+    primitive parts over minors of degree up to k d, coefficients growing
+    with k: about k (k d)^3 / 8 units.  A minor is priced at the larger.
     """
     k = len(columns)
     d = max(p.degree for column in columns for p in column)
     if d == 0 and all(sum(not p.is_zero() for p in column) == 1 for column in columns):
         return k**3 + 30, "(k^3 + 30)"
-    bareiss = 25 * sum((k - s) ** 2 * ((s * d + 1) ** 2 + 2) for s in range(1, k)) + 30
-    price = max(bareiss, k * (k * d) ** 3 // 8)
+    price = max(_elimination_price(k, k, d), k * (k * d) ** 3 // 8)
     return price, f"{price} (a minor of degree-{d} columns)"
 
 
-# The form's memo is keyed by step and by step pair, not by flag: a step
-# enters only through its rank, saturation degree and images under Phi,
-# and steps repeat across flags (62 steps and 602 consecutive pairs in the
-# 4,682 flags at r = 6).  Pairs suffice for nestedness: while each step's
-# span contains the one before it, steps 1..i-1 span what step i-1 spans,
-# so the first failing step and its error are those of a check against
-# all the earlier columns.
-def _memoised(fb: FormBundle, analyse: Callable, *steps: FlagStep):
-    """`analyse(fb, *steps)`, computed on first use and kept in the form's memo."""
-    key = (analyse, *steps)
-    if key not in fb._memo:
-        fb._memo[key] = analyse(fb, *steps)
-    return fb._memo[key]
+def _checked_steps(r: int, steps: Iterable, rank: Callable, nested: Callable) -> list:
+    """The steps, taken one at a time, once their ranks rise strictly, lie strictly
+    between 0 and r, and `nested(lower, upper)` holds for each step and the one before.
 
-
-def _analyse_step(fb: FormBundle, step: FlagStep) -> tuple:
-    """Rank, filtration member, and Phi w for each generator w of the step.
-
-    The member holds the rank, saturation degree, Hilbert polynomial and
-    alpha of the step (None at rank 0, where the degree is undefined).
+    Pairs suffice: while each step's span contains the one before it, the first
+    failing step and its error are those of a check against all the earlier columns.
     """
-    rank, degree = _invariants(fb.model, step)
-    member = None
-    if degree is not None:
-        hilb = UniPoly.of(degree + rank, rank)
-        member = FiltrationMember(rank, Fraction(degree), hilb, step.alpha)
-    return rank, member, tuple(_apply(fb.entries, w) for w in step.columns)
-
-
-def _nested(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
-    """Whether the span of `lower` lies in the span of `upper` over Q(x)."""
-    columns = lower.columns + upper.columns
-    joint = [[column[a] for column in columns] for a in range(fb.model.rank)]
-    return _polyalg.generic_rank(joint) == _memoised(fb, _analyse_step, upper)[0]
-
-
-def _vanishes_between(fb: FormBundle, lower: FlagStep, upper: FlagStep) -> bool:
-    """Whether u . (Phi w) = 0 for every generator u of `lower` and w of `upper`."""
-    images = _memoised(fb, _analyse_step, upper)[2]
-    return all(_dot(u, image).is_zero() for u in lower.columns for image in images)
-
-
-def _checked_ranks(r: int, steps: Sequence, rank: Callable, nested: Callable) -> tuple[int, ...]:
-    """The step ranks, once they rise strictly, lie strictly between 0 and r,
-    and `nested(lower, upper)` holds for each step and the one before it."""
-    ranks: list[int] = []
-    for i, step in enumerate(steps):
+    checked, ranks = [], []
+    for step in steps:
         k = rank(step)
         if ranks and k <= ranks[-1]:
-            raise DegenerateFlag(
-                f"generic ranks collapse: {ranks + [k]} not strictly increasing"
-            )
+            raise DegenerateFlag(f"generic ranks collapse: {ranks + [k]} not strictly increasing")
         if not 0 < k < r:
             raise DegenerateFlag(f"step rank {k} must lie strictly between 0 and {r}")
-        if i and not nested(steps[i - 1], step):
+        if checked and not nested(checked[-1], step):
             raise MalformedFlag("flag steps are not nested")
+        checked.append(step)
         ranks.append(k)
-    return tuple(ranks)
+    return checked
 
 
-def _flag_ranks(fb: FormBundle, flag: SubsheafFlag) -> tuple[int, ...]:
-    return _checked_ranks(
-        fb.model.rank,
-        flag.steps,
-        lambda step: _memoised(fb, _analyse_step, step)[0],
-        lambda lower, upper: _memoised(fb, _nested, lower, upper),
-    )
+def _spans_within(lower: Sequence, upper: Sequence) -> bool:
+    """Whether the span of the basis `lower` lies in the span of the basis `upper` over Q(x)."""
+    joint = [[column[a] for column in (*lower, *upper)] for a in range(len(upper[0]))]
+    return _polyalg.generic_rank(joint) == len(upper)
+
+
+def _bases(r: int, flag: SubsheafFlag) -> list[list[tuple[UniPoly, ...]]]:
+    """Each step's basis, under the flag rule: a step is checked before the next is eliminated."""
+    return _checked_steps(r, (_basis(r, step) for step in flag.steps), len, _spans_within)
 
 
 def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
     """Degree of the saturation of the subsheaf generated by the columns."""
-    degree = _invariants(model, step)[1]
-    if degree is None:
+    basis = _basis(model.rank, step)
+    if not basis:
         raise DegenerateFlag("generator matrix has generic rank zero")
-    return degree
-
-
-def _filtration_data(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
-    members = tuple(_memoised(fb, _analyse_step, step)[1] for step in flag.steps)
-    return FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), members)
-
-
-def _profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
-    t = flag.step_count
-    tuples = {(t + 1, t + 1)}
-    for i, step in enumerate(flag.steps, start=1):
-        images = _memoised(fb, _analyse_step, step)[2]
-        if any(not p.is_zero() for image in images for p in image):
-            tuples.add((i, t + 1))
-        for j in range(i, t + 1):
-            if not _memoised(fb, _vanishes_between, step, flag.steps[j - 1]):
-                tuples.add((i, j))
-    return NonvanishingProfile(t, 2, frozenset(tuples))
+    return _invariants(model, basis)
 
 
 def filtration_data_of(fb: FormBundle, flag: SubsheafFlag) -> FiltrationData:
     """Discrete invariants (rank, degree, Hilbert polynomial, alpha) per step."""
-    _flag_ranks(fb, flag)
-    return _filtration_data(fb, flag)
+    members = []
+    for step, basis in zip(flag.steps, _bases(fb.model.rank, flag)):
+        k, degree = len(basis), _invariants(fb.model, basis)
+        members.append(FiltrationMember(k, Fraction(degree), UniPoly.of(degree + k, k), step.alpha))
+    return FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), tuple(members))
 
 
 def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
@@ -361,22 +317,24 @@ def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
 
     With G_1, ..., G_t the generator matrices of the steps and G_{t+1} = I,
     the pair (i, j), i <= j, is in the profile when G_i^T Phi G_j is not
-    identically zero.  For j <= t that means u . (Phi w) != 0 for some
-    generator u of step i and some generator w of step j; the form's memo
-    holds Phi w per generator of each step and the answer per step pair.
-    Phi is symmetric or antisymmetric, so G_i^T Phi I = +-(Phi G_i)^T: the
-    pair (i, t + 1) is present exactly when Phi w != 0 for some generator w
-    of step i.  The pair (t + 1, t + 1) is Phi itself, which `FormBundle`
-    requires to be nonzero.
+    identically zero: for j <= t, when u . (Phi w) != 0 for some generator
+    u of step i and w of step j, with Phi w taken once per generator.  As
+    Phi is (anti)symmetric, G_i^T Phi I = +-(Phi G_i)^T, so (i, t + 1) is
+    present exactly when Phi w != 0 for some generator w of step i.  The
+    pair (t + 1, t + 1) is Phi itself, nonzero by `FormBundle`.  The flag
+    rule is checked first; no minor is taken.
     """
-    _flag_ranks(fb, flag)
-    return _profile(fb, flag)
-
-
-def _score(fb: FormBundle, flag: SubsheafFlag) -> tuple[FiltrationData, NonvanishingProfile]:
-    """`filtration_data_of` and `form_profile` of one flag, validated once."""
-    _flag_ranks(fb, flag)
-    return _filtration_data(fb, flag), _profile(fb, flag)
+    _bases(fb.model.rank, flag)
+    t = flag.step_count
+    images = [[_apply(fb.entries, w) for w in step.columns] for step in flag.steps]
+    tuples = {(t + 1, t + 1)}
+    for i, step in enumerate(flag.steps, start=1):
+        if any(not p.is_zero() for image in images[i - 1] for p in image):
+            tuples.add((i, t + 1))
+        for j in range(i, t + 1):
+            if any(not _dot(u, image).is_zero() for u in step.columns for image in images[j - 1]):
+                tuples.add((i, j))
+    return NonvanishingProfile(t, 2, frozenset(tuples))
 
 
 def _dot(u: Sequence[UniPoly], v: Sequence[UniPoly]) -> UniPoly:
@@ -519,7 +477,7 @@ def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) 
         if rank < r:
             return _confirmed(fb, kernel_destabilizer(fb), check.sign, -2 * (r - rank))
     if supplied:
-        signs = (check.sign(*_score(fb, flag)) for flag in flags)
+        signs = (check.sign(filtration_data_of(fb, flag), form_profile(fb, flag)) for flag in flags)
     else:
         score = _chain_scorer(fb)
         signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))
@@ -580,7 +538,7 @@ def dualize_filtration(model: SplitSheafModel, flag: SubsheafFlag) -> SubsheafFl
     """
     r = model.rank
     sets = _coordinate_sets(flag, r)
-    _checked_ranks(r, sets, len, le)
+    _checked_steps(r, sets, len, le)
     everything = frozenset(range(1, r + 1))
     chain = [sorted(everything - s) for s in reversed(sets)]
     return coordinate_flag(chain, [step.alpha for step in reversed(flag.steps)], r=r)

@@ -274,8 +274,8 @@ def oracle_coordinate_chains(r: int) -> list[list[frozenset]]:
 def oracle_coordinate_flags(r: int) -> list:
     """The flags of `oracle_coordinate_chains`, alphas 1, one shared step object per subset.
 
-    Cached per rank, so that walks of one form meet the same step objects
-    in its memo.
+    Cached per rank, so that the oracle's scores of one form meet the same
+    step objects in `_form_scores`.
     """
     chains = oracle_coordinate_chains(r)
     subsets = {s for chain in chains for s in chain}
@@ -305,10 +305,51 @@ def oracle_gather_flags(fb, flag_source=EXHAUSTIVE):
     return ([] if kernel is None else [kernel]) + flags
 
 
+@functools.lru_cache(maxsize=1)
+def _form_scores(fb) -> dict:
+    """Library scores of one- and two-step flags of the last form scored, by step identity.
+
+    Each entry holds the steps it is keyed by, so no key outlives its step.
+    """
+    return {}
+
+
+def _scored(scores, fb, steps, score):
+    """`score(fb, SubsheafFlag(steps))`, computed once per form and steps."""
+    key = (score, *map(id, steps))
+    if key not in scores:
+        scores[key] = steps, score(fb, SubsheafFlag(steps))
+    return scores[key][1]
+
+
+def oracle_score(fb, flag):
+    """`filtration_data_of` and `form_profile` of a flag that satisfies the flag rule,
+    composed from scores of shorter flags.
+
+    The one-step flag (step i) gives member i, and (i, i) and (i, t + 1)
+    as its pairs (1, 1) and (1, 2); the two-step flag (step i, step j)
+    gives (i, j), i < j, as its pair (1, 2).
+    """
+    scores = _form_scores(fb)
+    t = flag.step_count
+    members, tuples = [], {(t + 1, t + 1)}
+    for i, step in enumerate(flag.steps, start=1):
+        members.append(_scored(scores, fb, (step,), filtration_data_of).members[0])
+        own = _scored(scores, fb, (step,), form_profile).tuples
+        if (1, 1) in own:
+            tuples.add((i, i))
+        if (1, 2) in own:
+            tuples.add((i, t + 1))
+        for j in range(i + 1, t + 1):
+            if (1, 2) in _scored(scores, fb, (step, flag.steps[j - 1]), form_profile).tuples:
+                tuples.add((i, j))
+    data = FiltrationData(fb.model.rank, Fraction(0), fb.model.total_hilb(), tuple(members))
+    return data, NonvanishingProfile(t, 2, frozenset(tuples))
+
+
 def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
     for flag in oracle_gather_flags(fb, flag_source):
-        data = filtration_data_of(fb, flag)
-        profile = form_profile(fb, flag)
+        data, profile = oracle_score(fb, flag)
         value = mu_profile(data, profile)
         if value < 0:
             return FormVerdict(False, flag)
@@ -321,8 +362,7 @@ def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
 
 def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
     for flag in oracle_gather_flags(fb, flag_source):
-        data = filtration_data_of(fb, flag)
-        profile = form_profile(fb, flag)
+        data, profile = oracle_score(fb, flag)
         if mu_profile(data, profile) != 0:
             continue
         value = functional_L(data)

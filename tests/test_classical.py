@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -18,6 +19,7 @@ from semistab import (
     FlagStep,
     FormBundle,
     FormVerdict,
+    NonvanishingProfile,
     SplitSheafModel,
     SubsheafFlag,
     Symmetry,
@@ -52,6 +54,7 @@ from conftest import (
     oracle_flag_ranks,
     oracle_gather_flags,
     oracle_ramanathan_semistable,
+    oracle_score,
     oracle_semistable_form,
 )
 
@@ -209,6 +212,28 @@ class TestSaturationDegree:
         with pytest.raises(TooLarge, match=r"C\(r, k\) \* 8303765 \(a minor of degree-405 columns\)"):
             saturation_degree(model, step)
 
+    def test_dense_step_echelon_priced(self, monkeypatch):
+        """9 dense degree-30 columns at r = 10 ran 26 s in their echelon before the minor cap."""
+        import semistab._polyalg as polyalg
+
+        def no_echelon(*args):
+            raise AssertionError("the step was eliminated")
+
+        monkeypatch.setattr(polyalg, "independent_columns", no_echelon)
+        step = FlagStep(dense_columns(random.Random(5), 10, 9, 30), Fraction(1))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"^a step of 9 generator columns at rank 10 costs "):
+            saturation_degree(SplitSheafModel((0,) * 10), step)
+        assert time.perf_counter() - start < 1
+
+    def test_echelon_price_under_the_cap(self):
+        """The echelon of r x k columns costs 25 sum_s (r - s)(k - s)((s d + 1)^2 + 2) + 30."""
+        assert classical._elimination_price(6, 5, 10) == 423_030
+        assert classical._elimination_price(24, 12, 0) == 97_380
+        assert classical._elimination_price(14, 8, 1) == 142_830
+        step = FlagStep(dense_columns(random.Random(6), 6, 5, 10), Fraction(1))
+        assert isinstance(saturation_degree(SplitSheafModel((0,) * 6), step), int)
+
 
 class TestCoordinateFlag:
     def test_rank_is_required(self):
@@ -278,15 +303,53 @@ class TestFiltrationDataOf:
             )
         )
         fb = identity_form(3)
-        assert classical._flag_ranks(fb, flag) == (1, 2)
         data = filtration_data_of(fb, flag)
         assert [(m.rank, m.degree) for m in data.members] == [(1, -1), (2, 0)]
+        assert form_profile(fb, flag).tuples == profile_by_definition(fb, flag)
 
     def test_M_vanishes_on_degree_zero_coordinate_flags(self):
         """Regression guard: trivial degrees make M identically zero."""
         for flag in oracle_coordinate_flags(3):
             data = flag_data(TRIVIAL_3, flag)
             assert functional_M(data).is_zero()
+
+
+def unit_columns(r, indices):
+    return tuple(tuple(ONE if a == k else ZERO for a in range(1, r + 1)) for k in indices)
+
+
+# Two flags of the identity form at r = 24, each breaking two rules; the first
+# step's error is raised.  Twelve coordinate columns cost 97,380 units to
+# eliminate, under the cap, but C(24, 12) minors at k^3 + 30 units are over it.
+OVER_THE_MINOR_CAP = FlagStep(unit_columns(24, range(1, 13)), Fraction(1))
+MINOR_CAP_MESSAGE = (
+    "a rank-12 step at rank 24 has 2704156 maximal minors; "
+    "C(r, k) * (k^3 + 30) exceeds the cap 2000000"
+)
+TWO_BROKEN_RULES = {
+    "over-the-cap-then-collapse": (
+        SubsheafFlag((OVER_THE_MINOR_CAP, FlagStep(unit_columns(24, [1]), Fraction(1)))),
+        TooLarge,
+        MINOR_CAP_MESSAGE,
+    ),
+    "short-column-then-over-the-cap": (
+        SubsheafFlag((FlagStep(((ONE,) * 23,), Fraction(1)), OVER_THE_MINOR_CAP)),
+        MalformedFlag,
+        "generator column has length 23, expected 24",
+    ),
+}
+
+
+class TestFlagRuleOrder:
+    @pytest.mark.parametrize("name", TWO_BROKEN_RULES)
+    def test_first_step_error_wins(self, name):
+        flag, error, message = TWO_BROKEN_RULES[name]
+        for score in (filtration_data_of, form_profile):
+            assert _outcome(score, identity_form(24), flag) == (error, message)
+
+    def test_form_profile_alone_holds_the_minor_cap(self):
+        flag = SubsheafFlag((OVER_THE_MINOR_CAP,))
+        assert _outcome(form_profile, identity_form(24), flag) == (TooLarge, MINOR_CAP_MESSAGE)
 
 
 class TestFormProfile:
@@ -497,10 +560,10 @@ def identity_form(r):
 
 
 def test_coordinate_flags_share_one_step_per_subset():
-    """The test-side flag list, so that walks of one form over it meet each step once in its memo."""
+    """The test-side flag list, so that the oracle scores each step of a form once."""
     r = EXHAUSTIVE_RANK_CAP
-    steps = [step for flag in oracle_coordinate_flags(r) for step in flag.steps]
-    assert len({id(step) for step in steps}) == len(set(steps)) == 2**r - 2
+    steps = {id(step): step for flag in oracle_coordinate_flags(r) for step in flag.steps}
+    assert len(steps) == len(set(steps.values())) == 2**r - 2
 
 
 def test_coordinate_flags_follow_the_chain_order():
@@ -513,31 +576,15 @@ def test_coordinate_flags_follow_the_chain_order():
         assert [coordinate_flag(chain, r=r) for chain in chains] == expected
 
 
-def test_second_walk_adds_no_step_or_pair_analysis(monkeypatch):
-    """A walk analyses each step and step pair once; a second walk of the form none."""
-    analysed = []
-    for name in ("_analyse_step", "_nested", "_vanishes_between"):
-        def counted(fb, *steps, analyse=getattr(classical, name), name=name):
-            analysed.append((name, *steps))
-            return analyse(fb, *steps)
-        monkeypatch.setattr(classical, name, counted)
-    r = 4
-    identity = identity_form(r)
-    flags = oracle_coordinate_flags(r)
-    assert semistable_form(identity, flags).semistable
-    steps = [key for key in analysed if key[0] == "_analyse_step"]
-    assert len(steps) == 2**r - 2
-    assert len(set(analysed)) == len(analysed)
-    first = len(analysed)
-    assert semistable_form(identity, flags).semistable
-    assert len(analysed) == first
-
-
 def test_walked_form_keeps_equality_hash_and_repr():
+    """Scoring leaves nothing behind: the form and its steps hold their fields only."""
     walked, fresh = identity_form(3), identity_form(3)
-    semistable_form(walked, oracle_coordinate_flags(3))
-    assert walked._memo and not fresh._memo
+    flags = oracle_coordinate_flags(3)
+    semistable_form(walked, flags)
     assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+    assert vars(walked).keys() == {field.name for field in fields(FormBundle)}
+    step_fields = {field.name for field in fields(FlagStep)}
+    assert all(vars(step).keys() == step_fields for flag in flags for step in flag.steps)
 
 
 def _count_calls(monkeypatch, names):
@@ -567,15 +614,28 @@ def test_exhaustive_walk_scores_only_the_witness(monkeypatch):
     assert calls == dict.fromkeys(SCORED, 1)
 
 
-def test_supplied_flag_validated_once_per_score(monkeypatch):
-    calls = _count_calls(monkeypatch, ("_flag_ranks",))
+def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
+    """Only `filtration_data_of` takes maximal minors, once per step of the flag it scores."""
+    import semistab._polyalg as polyalg
+
+    taken = []
+
+    def counted(*args, minors=polyalg.maximal_minors):
+        taken.append(args)
+        return minors(*args)
+
+    monkeypatch.setattr(polyalg, "maximal_minors", counted)
     flags = oracle_coordinate_flags(3)
+    steps = sum(flag.step_count for flag in flags)
     assert semistable_form(identity_form(3), flags).semistable
-    assert calls["_flag_ranks"] == len(flags)
+    assert len(taken) == steps
     degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert ramanathan_semistable(degenerate, flags).semistable
     # The kernel flag never counts for this check, so only the supplied flags are scored.
-    assert calls["_flag_ranks"] == 2 * len(flags)
+    assert len(taken) == 2 * steps
+    for flag in flags:
+        form_profile(degenerate, flag)
+    assert len(taken) == 2 * steps
 
 
 def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
@@ -637,23 +697,36 @@ def polynomial_flags(draw):
     return model, SubsheafFlag(tuple(steps))
 
 
-def _outcome(ranks, model, flag):
+def _outcome(score, *args):
     try:
-        return ranks(model, flag)
+        return score(*args)
     except SemistabError as exc:
         return type(exc), str(exc)
+
+
+def _ranks(fb, flag):
+    return tuple(member.rank for member in filtration_data_of(fb, flag).members)
 
 
 @settings(max_examples=200, deadline=None)
 @given(polynomial_flags())
 def test_flag_ranks_match_accumulated_oracle(case):
-    """Same ranks, or the same error and message, as sympy on accumulated columns."""
+    """Same ranks, or the same error and message, as sympy on accumulated columns.
+
+    `form_profile` checks the same flag rule: it raises the same error, or none.
+    """
     model, flag = case
     # Any form will do: the checks read the model and the flag only.
     lowest = model.summand_degrees.index(min(model.summand_degrees))
     rows = [[int(a == b == lowest) for b in range(model.rank)] for a in range(model.rank)]
     fb = constant_form(model, Symmetry.SYMMETRIC, rows)
-    assert _outcome(classical._flag_ranks, fb, flag) == _outcome(oracle_flag_ranks, model, flag)
+    expected = _outcome(oracle_flag_ranks, model, flag)
+    assert _outcome(_ranks, fb, flag) == expected
+    profiled = _outcome(form_profile, fb, flag)
+    if isinstance(profiled, NonvanishingProfile):
+        assert all(isinstance(rank, int) for rank in expected)
+    else:
+        assert profiled == expected
 
 
 class TestKernelDestabilizer:
@@ -831,6 +904,22 @@ class TestVerdictOracles:
         assert_exhaustive_walks_agree(fb)
 
 
+class TestOracleScores:
+    """The oracle's scores, composed from one- and two-step flags, are the library's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(forms(max_rank=4), degenerate_forms(max_rank=4)))
+    def test_coordinate_flags(self, fb):
+        for flag in oracle_coordinate_flags(fb.model.rank):
+            assert oracle_score(fb, flag) == (filtration_data_of(fb, flag), form_profile(fb, flag))
+
+    @settings(max_examples=60, deadline=None)
+    @given(forms_with_nested_flags())
+    def test_nested_polynomial_flags(self, case):
+        fb, flag = case
+        assert oracle_score(fb, flag) == (filtration_data_of(fb, flag), form_profile(fb, flag))
+
+
 def assert_exhaustive_walks_agree(fb):
     """Both checks, both strict values: the oracle's verdict and witness."""
     for strict in (False, True):
@@ -949,4 +1038,5 @@ class TestDualize:
         with pytest.raises(error) as raised:
             dualize_filtration(TRIVIAL_3, flag)
         assert str(raised.value) == message
-        assert _outcome(classical._flag_ranks, identity_form(3), flag) == (error, message)
+        for score in (filtration_data_of, form_profile):
+            assert _outcome(score, identity_form(3), flag) == (error, message)

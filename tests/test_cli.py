@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,19 @@ def _run_document(args, document, tmp_path):
     return run_cli([*args, "--input", str(path)])
 
 
+def _identity_form_document(r, check, steps):
+    """`form-check` of the identity form at rank r over one supplied flag of these steps."""
+    entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
+    form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
+    flag = {"steps": [{"generators": generators, "alpha": "1"} for generators in steps]}
+    payload = {"form": form, "check": check, "flags": [flag]}
+    return {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+
+
+def _unit_generators(r, indices):
+    return [[["1"] if a == k else [] for a in range(1, r + 1)] for k in indices]
+
+
 def _unit_weight_document(r, support):
     """`destabilize` on the standard weights e_1..e_r, at the point 1 on the first `support`."""
     basis = [{"label": f"e{a}", "weight": [int(a == b) for b in range(1, r + 1)]} for a in range(1, r + 1)]
@@ -153,6 +167,10 @@ FORM_CHECK = ("formcheck_symplectic.json", ["form-check"])
 TORUS = ("destabilize_single.json", ["destabilize"])
 
 NO_FLAGS = "flags must not be empty; leave the key out for the exhaustive walk"
+MINOR_CAP_MESSAGE = (
+    "a rank-12 step at rank 24 has 2704156 maximal minors; "
+    "C(r, k) * (k^3 + 30) exceeds the cap 2000000"
+)
 
 # Each shape used to exit 0 with a verdict, or exit 2 with a Python repr
 # (the slope payload without delta_bar, the unknown symmetry) or with a
@@ -343,19 +361,48 @@ class TestExitCodes:
         Its saturation degree would take all C(24, 12) = 2,704,156 maximal
         minors: the run was still going after several seconds.
         """
-        r = 24
-        entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
-        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
-        generators = [[["1"] if a == k else [] for a in range(r)] for k in range(12)]
-        flags = [{"steps": [{"generators": generators, "alpha": "1"}]}]
-        payload = {"form": form, "check": check, "flags": flags}
-        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        document = _identity_form_document(24, check, [_unit_generators(24, range(1, 13))])
         result = _run_document(["form-check"], document, tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
+        assert result.stderr == f"error: {MINOR_CAP_MESSAGE}\n"
+
+    @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (
+                [_unit_generators(24, range(1, 13)), _unit_generators(24, [1])],
+                MINOR_CAP_MESSAGE,
+            ),
+            (
+                [[[["1"]] * 23], _unit_generators(24, range(1, 13))],
+                "generator column has length 23, expected 24",
+            ),
+        ],
+        ids=["over-the-cap-then-collapse", "short-column-then-over-the-cap"],
+    )
+    def test_first_step_error_wins(self, check, steps, message, tmp_path):
+        """A flag that breaks two rules: the error of its first step, as the library raises it."""
+        result = _run_document(["form-check"], _identity_form_document(24, check, steps), tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
+    def test_dense_step_refused_before_its_echelon(self, tmp_path):
+        """9 dense degree-30 columns at r = 10 ran 26 s in their echelon before the minor cap."""
+        columns = dense_columns(random.Random(5), 10, 9, 30)
+        generators = [[encode_poly(p) for p in column] for column in columns]
+        start = time.perf_counter()
+        result = _run_document(
+            ["form-check"], _identity_form_document(10, "semistable", [generators]), tmp_path
+        )
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 2
+        assert result.stdout == ""
         assert result.stderr == (
-            "error: a rank-12 step at rank 24 has 2704156 maximal minors; "
-            "C(r, k) * (k^3 + 30) exceeds the cap 2000000\n"
+            "error: a step of 9 generator columns at rank 10 costs 57438030 units to eliminate "
+            "(columns of degree 30); this exceeds the cap 2000000\n"
         )
 
     @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
@@ -365,14 +412,9 @@ class TestExitCodes:
         Its 3,003 maximal minors were allowed at the price of coordinate
         columns and took about a minute.
         """
-        r = 14
-        entries = [[["1"] if a == b else [] for b in range(r)] for a in range(r)]
-        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
-        columns = dense_columns(random.Random(14), r, 8, 1)
+        columns = dense_columns(random.Random(14), 14, 8, 1)
         generators = [[encode_poly(p) for p in column] for column in columns]
-        flags = [{"steps": [{"generators": generators, "alpha": "1"}]}]
-        payload = {"form": form, "check": check, "flags": flags}
-        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        document = _identity_form_document(14, check, [generators])
         result = _run_document(["form-check"], document, tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
