@@ -175,68 +175,56 @@ def _cmd_enumerate_compositions(args: argparse.Namespace) -> tuple[dict, bool]:
     return {"s": args.s, "tuples": [list(t) for t in tuples]}, False
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semistab",
-        description="Exact semistability computations, batch mode.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", default="-", help="instance file path, - for stdin")
-    common.add_argument(
-        "--fail-on-unstable",
-        action="store_true",
-        help="exit 1 when the verdict is unstable/violated",
-    )
-    common.add_argument("--strict", action="store_true", help="strict inequalities")
-    common.add_argument("--pretty", action="store_true", help="indented output")
+# Each subcommand's help, handler and arguments beyond the common flags, in help order.
+_COMMANDS = {
+    "mu": (
+        "Hilbert-Mumford or profile mu",
+        _cmd_mu,
+        {"--kind": {"choices": ["torus_rep", "dispo"], "default": "torus_rep"}},
+    ),
+    "destabilize": ("torus-level instability test", _cmd_destabilize, {}),
+    "dispo-check": ("delta/slope/asymptotic verdict", _cmd_dispo_check, {}),
+    "deform": ("admissible deformation", _cmd_deform, {}),
+    "form-check": ("form-bundle semistability", _cmd_form_check, {}),
+    "dualize": ("dual coordinate flag", _cmd_dualize, {}),
+    "bounds": (
+        "characteristic bounds",
+        _cmd_bounds,
+        {"type": {"help": 'Dynkin type string, e.g. "A5" or "E8"'}},
+    ),
+    "enumerate-compositions": (
+        "weighted compositions with sum i*d_i = s!",
+        _cmd_enumerate_compositions,
+        {"s": {"type": int}},
+    ),
+}
 
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("--input", default="-", help="instance file path, - for stdin")
+_COMMON.add_argument(
+    "--fail-on-unstable",
+    action="store_true",
+    help="exit 1 when the verdict is unstable/violated",
+)
+_COMMON.add_argument("--strict", action="store_true", help="strict inequalities")
+_COMMON.add_argument("--pretty", action="store_true", help="indented output")
 
-    p = sub.add_parser("mu", parents=[common], help="Hilbert-Mumford or profile mu")
-    p.add_argument("--kind", choices=["torus_rep", "dispo"], default="torus_rep")
-    p.set_defaults(func=_cmd_mu)
-
-    p = sub.add_parser(
-        "destabilize", parents=[common], help="torus-level instability test"
-    )
-    p.set_defaults(func=_cmd_destabilize)
-
-    p = sub.add_parser(
-        "dispo-check", parents=[common], help="delta/slope/asymptotic verdict"
-    )
-    p.set_defaults(func=_cmd_dispo_check)
-
-    p = sub.add_parser("deform", parents=[common], help="admissible deformation")
-    p.set_defaults(func=_cmd_deform)
-
-    p = sub.add_parser(
-        "form-check", parents=[common], help="form-bundle semistability"
-    )
-    p.set_defaults(func=_cmd_form_check)
-
-    p = sub.add_parser("dualize", parents=[common], help="dual coordinate flag")
-    p.set_defaults(func=_cmd_dualize)
-
-    p = sub.add_parser("bounds", parents=[common], help="characteristic bounds")
-    p.add_argument("type", help='Dynkin type string, e.g. "A5" or "E8"')
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser(
-        "enumerate-compositions",
-        parents=[common],
-        help="weighted compositions with sum i*d_i = s!",
-    )
-    p.add_argument("s", type=int)
-    p.set_defaults(func=_cmd_enumerate_compositions)
-
-    return parser
+# Built once, at import: `run` may be called many times in one process.
+_PARSER = argparse.ArgumentParser(
+    prog="semistab",
+    description="Exact semistability computations, batch mode.",
+)
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
+for _name, (_help, _, _arguments) in _COMMANDS.items():
+    _subparser = _SUBPARSERS.add_parser(_name, parents=[_COMMON], help=_help)
+    for _argument, _options in _arguments.items():
+        _subparser.add_argument(_argument, **_options)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        document, failed = args.func(args)
+        document, failed = _COMMANDS[args.command][1](args)
     except SemistabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

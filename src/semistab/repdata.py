@@ -43,12 +43,12 @@ class DynkinType:
 
     @staticmethod
     def parse(text: str) -> "DynkinType":
-        """Parse strings like "A5", "D4", "E8", "G2"."""
+        """Parse strings like "A5", "D4", "E8", "G2"; the rank is ASCII digits only."""
         text = text.strip()
         if text in _EXCEPTIONAL_RANK:
             return DynkinType(text, _EXCEPTIONAL_RANK[text])
         family, digits = text[:1], text[1:]
-        if family in _CLASSICAL_MIN_RANK and digits.isdigit():
+        if family in _CLASSICAL_MIN_RANK and digits.isascii() and digits.isdigit():
             return DynkinType(family, int(digits))
         raise InvalidRank(f"cannot parse Dynkin type {text!r}")
 

@@ -1,8 +1,10 @@
 """CLI golden files, exit codes, and round trips."""
 
+import argparse
 import io
 import json
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -603,18 +605,22 @@ def test_rejected_torus_input(shape, tmp_path):
 # (arguments, golden document) for each golden that reads an instance file.
 FUZZ_CASES = [(args[:-2], GOLDEN / args[-1]) for args, _ in CASES if "--input" in args]
 
-JSON_VALUES = st.recursive(
+JSON_LEAVES = (
     st.none()
     | st.booleans()
     | st.integers(-3, 6)
     | st.floats(-4, 4)
     | st.text(max_size=3)
-    | st.sampled_from(["1", "-1/2", "1/0", "0.5", "e1", "symmetric", "slope", "ramanathan"]),
+    | st.sampled_from(["1", "-1/2", "1/0", "0.5", "e1", "symmetric", "slope", "ramanathan"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=3), children, max_size=3),
     max_leaves=6,
 )
 KEYS = st.text(max_size=3) | st.sampled_from(["mode", "delta", "delta_bar", "flags", "check"])
+OPTIONS = st.lists(st.sampled_from(["--fail-on-unstable", "--strict"]), unique=True)
 
 
 def _paths(node, path=()):
@@ -649,7 +655,7 @@ def mutated_goldens(draw):
     else:
         path = draw(st.sampled_from([p for p in paths if isinstance(_node(document, p), dict)]))
         _node(document, path)[draw(KEYS)] = draw(JSON_VALUES)
-    options = draw(st.lists(st.sampled_from(["--fail-on-unstable", "--strict"]), unique=True))
+    options = draw(OPTIONS)
     return [*args, *options, "--input", "-"], document
 
 
@@ -664,13 +670,9 @@ def _run_in_process(argv, text):
         sys.stdin, sys.stdout, sys.stderr = streams
 
 
-@settings(max_examples=300, deadline=None)
-@given(mutated_goldens())
-def test_mutated_golden_exits_cleanly(case):
+def _assert_exits_cleanly(argv, code, out, err):
     """Exit 0 with one JSON line, 2 with one stderr line, or 1 with a verdict under
-    --fail-on-unstable; no exception escapes `run`."""
-    argv, document = case
-    code, out, err = _run_in_process(argv, json.dumps(document))
+    --fail-on-unstable."""
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
@@ -680,6 +682,95 @@ def test_mutated_golden_exits_cleanly(case):
     verdict = json.loads(out).get("verdict")
     assert code == 0 or (
         code == 1 and "--fail-on-unstable" in argv and verdict in ("unstable", "violated")
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_goldens())
+def test_mutated_golden_exits_cleanly(case):
+    """No exception escapes `run`, and it exits cleanly."""
+    argv, document = case
+    _assert_exits_cleanly(argv, *_run_in_process(argv, json.dumps(document)))
+
+
+def _shaped_like(template):
+    """JSON with the containers of `template`: each object keeps its keys, each array holds
+    up to 3 values shaped like its first item, and each leaf is the template's or any."""
+    if isinstance(template, dict):
+        return st.fixed_dictionaries({key: _shaped_like(value) for key, value in template.items()})
+    if isinstance(template, list):
+        return st.lists(_shaped_like(template[0] if template else None), max_size=3)
+    return st.booleans().flatmap(lambda keep: st.just(template) if keep else JSON_LEAVES)
+
+
+@st.composite
+def reshaped_goldens(draw):
+    """A golden's arguments and envelope around a payload drawn anew in its payload's shape."""
+    args, golden = draw(st.sampled_from(FUZZ_CASES))
+    document = json.loads(golden.read_text())
+    document["payload"] = draw(_shaped_like(document["payload"]))
+    options = draw(OPTIONS)
+    return [*args, *options, "--input", "-"], document
+
+
+@settings(max_examples=300, deadline=None)
+@given(reshaped_goldens())
+def test_reshaped_payload_exits_cleanly(case):
+    """No exception escapes `run`, and it exits cleanly."""
+    argv, document = case
+    _assert_exits_cleanly(argv, *_run_in_process(argv, json.dumps(document)))
+
+
+def test_run_builds_no_parser(monkeypatch):
+    """`run` parses with the parser built at import, so it can run many documents in one process."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.run built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    monkeypatch.chdir(GOLDEN)
+    for args, expected in CASES:
+        assert _run_in_process(args, "") == (0, (GOLDEN / "expected" / expected).read_text(), "")
+
+
+SUBCOMMANDS = [
+    "mu", "destabilize", "dispo-check", "deform", "form-check", "dualize", "bounds",
+    "enumerate-compositions",
+]
+
+
+def _argparse_exit(argv, capsys):
+    """(exit code, stdout, stderr) of an argv on which argparse itself ends `run`."""
+    with pytest.raises(SystemExit) as exit_info:
+        semistab.cli.run(argv)
+    return (exit_info.value.code, *capsys.readouterr())
+
+
+class TestParser:
+    """The shape of the command line; argparse's own layout differs between Python versions."""
+
+    def test_help_lists_subcommands_in_order(self, capsys):
+        code, out, err = _argparse_exit(["--help"], capsys)
+        assert (code, err) == (0, "")
+        assert re.findall(r"^    (\S+)", out, re.MULTILINE) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help(self, command, capsys):
+        code, out, err = _argparse_exit([command, "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: semistab {command} ")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["bounds"]], ids=["none", "bogus", "bounds"])
+    def test_usage_error(self, argv, capsys):
+        code, out, err = _argparse_exit(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: semistab")
+
+
+@pytest.mark.parametrize("text", ["A\u0663", "A\u00b2"], ids=["arabic-indic-3", "superscript-2"])
+def test_bounds_rank_needs_ascii_digits(text):
+    """The Arabic-Indic 3 was read as A3 (exit 0); the superscript 2 exited 2 with a ValueError repr."""
+    assert _run_in_process(["bounds", text], "") == (
+        2, "", f"error: cannot parse Dynkin type {text!r}\n"
     )
 
 

@@ -32,6 +32,13 @@ class TestDynkinType:
         with pytest.raises(InvalidRank):
             DynkinType("B", 1)
 
+    @pytest.mark.parametrize("text", ["A\u0663", "A\u00b2", "D\uff14"])
+    def test_rank_needs_ascii_digits(self, text):
+        """`str.isdigit()` accepts these: the Arabic-Indic 3 was read as A3, the superscript 2
+        raised a ValueError."""
+        with pytest.raises(InvalidRank, match="cannot parse Dynkin type"):
+            T(text)
+
 
 class TestAdjointBound:
     def test_table(self):
