@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import classical, dispo, hilbert_mumford, jsonio, repdata
 from .errors import MalformedInput, SemistabError
@@ -46,15 +46,7 @@ def _load_instance(path: Optional[str], kind: str, required: tuple, optional=())
     return jsonio.fields(envelope["payload"], "payload", required, optional)
 
 
-def _emit(document: Mapping[str, Any], pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(document, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
-
-
-def _cmd_mu(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_mu(args: argparse.Namespace) -> dict:
     if args.kind == "torus_rep":
         payload = _load_instance(args.input, "torus_rep", ("rep", "point", "lambda"))
         rep = jsonio.decode_rep(payload["rep"])
@@ -66,10 +58,10 @@ def _cmd_mu(args: argparse.Namespace) -> tuple[dict, bool]:
         filtration = jsonio.decode_filtration(payload["filtration"])
         profile = jsonio.decode_profile(payload["profile"])
         value = dispo.mu_profile(filtration, profile)
-    return {"mu": jsonio.encode_rational(value)}, False
+    return {"mu": jsonio.encode_rational(value)}
 
 
-def _cmd_destabilize(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_destabilize(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "torus_rep", ("rep", "point"))
     rep = jsonio.decode_rep(payload["rep"])
     point = jsonio.decode_point(payload["point"])
@@ -85,18 +77,15 @@ def _cmd_destabilize(args: argparse.Namespace) -> tuple[dict, bool]:
                 },
                 "multiple": jsonio.encode_rational(certificate.multiple),
             },
-        }, False
-    return {
-        "verdict": "unstable",
-        "lambda": jsonio.encode_subgroup(verdict.destabilizer),
-    }, True
+        }
+    return {"verdict": "unstable", "lambda": jsonio.encode_subgroup(verdict.destabilizer)}
 
 
 # Each dispo-check mode's parameter key. `in tuple(...)` compares, so an unhashable mode is unknown.
 _MODE_PARAMETER = {"asymptotic": (), "delta": ("delta",), "slope": ("delta_bar",)}
 
 
-def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_dispo_check(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "dispo", ("entries",), ("mode", "delta", "delta_bar"))
     mode = payload.get("mode", "asymptotic")
     if mode not in tuple(_MODE_PARAMETER):
@@ -113,19 +102,19 @@ def _cmd_dispo_check(args: argparse.Namespace) -> tuple[dict, bool]:
     else:
         verdict = dispo.asymptotic_semistable(model, strict=args.strict)
     if verdict.semistable:
-        return {"verdict": "semistable"}, False
-    return {"verdict": "violated", "witness_index": verdict.witness_index}, True
+        return {"verdict": "semistable"}
+    return {"verdict": "violated", "witness_index": verdict.witness_index}
 
 
-def _cmd_deform(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_deform(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "dispo", ("filtration", "profile"))
     filtration = jsonio.decode_filtration(payload["filtration"])
     profile = jsonio.decode_profile(payload["profile"])
     deformed = dispo.admissible_deformation(filtration, profile)
-    return {"profile": jsonio.encode_profile(deformed)}, False
+    return {"profile": jsonio.encode_profile(deformed)}
 
 
-def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_form_check(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "form_bundle", ("form",), ("check", "flags"))
     fb = jsonio.decode_form_bundle(payload["form"])
     if "flags" in payload:
@@ -146,68 +135,76 @@ def _cmd_form_check(args: argparse.Namespace) -> tuple[dict, bool]:
     else:
         raise MalformedInput(f"unknown check {check!r}")
     if verdict.semistable:
-        return {"verdict": "semistable", "witness": None}, False
-    return {
-        "verdict": "unstable",
-        "witness": jsonio.encode_flag(verdict.witness),
-    }, True
+        return {"verdict": "semistable", "witness": None}
+    return {"verdict": "unstable", "witness": jsonio.encode_flag(verdict.witness)}
 
 
-def _cmd_dualize(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_dualize(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "flags", ("degrees", "flag"))
     model = jsonio.decode_model(payload["degrees"])
     flag = jsonio.decode_flag(payload["flag"])
     dual = classical.dualize_filtration(model, flag)
-    return {"flag": jsonio.encode_flag(dual)}, False
+    return {"flag": jsonio.encode_flag(dual)}
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_bounds(args: argparse.Namespace) -> dict:
     t = repdata.DynkinType.parse(args.type)
     condition = repdata.heinloth_curve_condition([t])
-    return {
-        "bound": repdata.adjoint_low_height_bound(t),
-        "clause": str(condition),
-    }, False
+    return {"bound": repdata.adjoint_low_height_bound(t), "clause": str(condition)}
 
 
-def _cmd_enumerate_compositions(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_enumerate_compositions(args: argparse.Namespace) -> dict:
     tuples = hilbert_mumford.weighted_compositions(args.s)
-    return {"s": args.s, "tuples": [list(t) for t in tuples]}, False
+    return {"s": args.s, "tuples": [list(t) for t in tuples]}
 
 
-# Each subcommand's help, handler and arguments beyond the common flags, in help order.
+def _ascii_integer(text: str) -> int:
+    """`-?[0-9]+` only; argparse's `int` also reads `+3`, ` 3`, `0_3` and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+_INPUT = {"--input": {"default": "-", "help": "instance file path, - for stdin"}}
+_FAIL_ON_UNSTABLE = {
+    "--fail-on-unstable": {
+        "action": "store_true",
+        "help": "exit 1 when the verdict is unstable/violated",
+    }
+}
+_STRICT = {"--strict": {"action": "store_true", "help": "strict inequalities"}}
+_PRETTY = {"--pretty": {"action": "store_true", "help": "indented output"}}
+_READER = {**_INPUT, **_PRETTY}
+_VERDICT = {**_INPUT, **_FAIL_ON_UNSTABLE, **_STRICT, **_PRETTY}
+
+# Each subcommand's help, handler and every argument it reads, in help order.
 _COMMANDS = {
     "mu": (
         "Hilbert-Mumford or profile mu",
         _cmd_mu,
-        {"--kind": {"choices": ["torus_rep", "dispo"], "default": "torus_rep"}},
+        {**_READER, "--kind": {"choices": ["torus_rep", "dispo"], "default": "torus_rep"}},
     ),
-    "destabilize": ("torus-level instability test", _cmd_destabilize, {}),
-    "dispo-check": ("delta/slope/asymptotic verdict", _cmd_dispo_check, {}),
-    "deform": ("admissible deformation", _cmd_deform, {}),
-    "form-check": ("form-bundle semistability", _cmd_form_check, {}),
-    "dualize": ("dual coordinate flag", _cmd_dualize, {}),
+    "destabilize": (
+        "torus-level instability test",
+        _cmd_destabilize,
+        {**_INPUT, **_FAIL_ON_UNSTABLE, **_PRETTY},
+    ),
+    "dispo-check": ("delta/slope/asymptotic verdict", _cmd_dispo_check, _VERDICT),
+    "deform": ("admissible deformation", _cmd_deform, _READER),
+    "form-check": ("form-bundle semistability", _cmd_form_check, _VERDICT),
+    "dualize": ("dual coordinate flag", _cmd_dualize, _READER),
     "bounds": (
         "characteristic bounds",
         _cmd_bounds,
-        {"type": {"help": 'Dynkin type string, e.g. "A5" or "E8"'}},
+        {**_PRETTY, "type": {"help": 'Dynkin type string, e.g. "A5" or "E8"'}},
     ),
     "enumerate-compositions": (
         "weighted compositions with sum i*d_i = s!",
         _cmd_enumerate_compositions,
-        {"s": {"type": int}},
+        {**_PRETTY, "s": {"type": _ascii_integer}},
     ),
 }
-
-_COMMON = argparse.ArgumentParser(add_help=False)
-_COMMON.add_argument("--input", default="-", help="instance file path, - for stdin")
-_COMMON.add_argument(
-    "--fail-on-unstable",
-    action="store_true",
-    help="exit 1 when the verdict is unstable/violated",
-)
-_COMMON.add_argument("--strict", action="store_true", help="strict inequalities")
-_COMMON.add_argument("--pretty", action="store_true", help="indented output")
 
 # Built once, at import: `run` may be called many times in one process.
 _PARSER = argparse.ArgumentParser(
@@ -216,7 +213,7 @@ _PARSER = argparse.ArgumentParser(
 )
 _SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
 for _name, (_help, _, _arguments) in _COMMANDS.items():
-    _subparser = _SUBPARSERS.add_parser(_name, parents=[_COMMON], help=_help)
+    _subparser = _SUBPARSERS.add_parser(_name, help=_help)
     for _argument, _options in _arguments.items():
         _subparser.add_argument(_argument, **_options)
 
@@ -224,17 +221,17 @@ for _name, (_help, _, _arguments) in _COMMANDS.items():
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        document, failed = _COMMANDS[args.command][1](args)
+        document = _COMMANDS[args.command][1](args)
     except SemistabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed payload: {exc!r}", file=sys.stderr)
         return 2
-    _emit(document, args.pretty)
-    if failed and args.fail_on_unstable:
-        return 1
-    return 0
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    sys.stdout.write(json.dumps(document, sort_keys=True, **layout) + "\n")
+    failed = document.get("verdict") in ("unstable", "violated")
+    return 1 if failed and getattr(args, "fail_on_unstable", False) else 0
 
 
 def main() -> None:

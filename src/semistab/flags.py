@@ -54,6 +54,8 @@ class WeightedFlag:
     def __post_init__(self) -> None:
         dims, order = tuple(map(integer, self.dims)), tuple(map(integer, self.basis_order))
         alphas = tuple(map(rational, self.alphas))
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise MalformedFiltration(f"basis_order must be a permutation of 1..{len(order)}")
         check_weights(dims, alphas, len(order))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "alphas", alphas)

@@ -119,9 +119,9 @@ class TorusVerdict:
     certificate: Optional[HullCertificate] = None
 
 
-def sum_zero_grid(r: int, radius: int = GRID_RADIUS):
-    """All nonzero sum-zero integer vectors in {-radius..radius}^r."""
-    for vec in itertools.product(range(-radius, radius + 1), repeat=r):
+def sum_zero_grid(r: int):
+    """All nonzero sum-zero integer vectors in {-GRID_RADIUS..GRID_RADIUS}^r."""
+    for vec in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=r):
         if any(vec) and sum(vec) == 0:
             yield vec
 

@@ -45,6 +45,24 @@ CASES = [
 ]
 
 
+# The common flags each subcommand reads, in help order.  Each of the other
+# 13 (subcommand, flag) pairs is a usage error: every subcommand used to take
+# all four and ignore those it does not read, so `bounds E8 --input
+# nosuch.json --strict --fail-on-unstable` exited 0 with the E8 bound.
+FLAGS_READ = {
+    "mu": ["--input", "--pretty"],
+    "destabilize": ["--input", "--fail-on-unstable", "--pretty"],
+    "dispo-check": ["--input", "--fail-on-unstable", "--strict", "--pretty"],
+    "deform": ["--input", "--pretty"],
+    "form-check": ["--input", "--fail-on-unstable", "--strict", "--pretty"],
+    "dualize": ["--input", "--pretty"],
+    "bounds": ["--pretty"],
+    "enumerate-compositions": ["--pretty"],
+}
+COMMON_FLAGS = ["--input", "--fail-on-unstable", "--strict", "--pretty"]
+FAILED_VERDICTS = ("unstable", "violated")
+
+
 def run_cli(args, cwd=GOLDEN):
     return run_semistab(args, cwd=cwd)
 
@@ -556,7 +574,8 @@ class TestExitCodes:
         golden, args, mutate, message = REJECTED_SHAPES[shape]
         document = json.loads((GOLDEN / golden).read_text())
         mutate(document["payload"])
-        result = _run_document([*args, "--fail-on-unstable"], document, tmp_path)
+        options = ["--fail-on-unstable"] if "--fail-on-unstable" in FLAGS_READ[args[0]] else []
+        result = _run_document([*args, *options], document, tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -620,7 +639,12 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 KEYS = st.text(max_size=3) | st.sampled_from(["mode", "delta", "delta_bar", "flags", "check"])
-OPTIONS = st.lists(st.sampled_from(["--fail-on-unstable", "--strict"]), unique=True)
+
+
+def _options(draw, command):
+    """Any of `--fail-on-unstable` and `--strict` that the subcommand reads, in any order."""
+    own = [flag for flag in ["--fail-on-unstable", "--strict"] if flag in FLAGS_READ[command]]
+    return draw(st.lists(st.sampled_from(own), unique=True)) if own else []
 
 
 def _paths(node, path=()):
@@ -655,7 +679,7 @@ def mutated_goldens(draw):
     else:
         path = draw(st.sampled_from([p for p in paths if isinstance(_node(document, p), dict)]))
         _node(document, path)[draw(KEYS)] = draw(JSON_VALUES)
-    options = draw(OPTIONS)
+    options = _options(draw, args[0])
     return [*args, *options, "--input", "-"], document
 
 
@@ -681,7 +705,7 @@ def _assert_exits_cleanly(argv, code, out, err):
     assert out.endswith("\n") and out.count("\n") == 1
     verdict = json.loads(out).get("verdict")
     assert code == 0 or (
-        code == 1 and "--fail-on-unstable" in argv and verdict in ("unstable", "violated")
+        code == 1 and "--fail-on-unstable" in argv and verdict in FAILED_VERDICTS
     )
 
 
@@ -709,7 +733,7 @@ def reshaped_goldens(draw):
     args, golden = draw(st.sampled_from(FUZZ_CASES))
     document = json.loads(golden.read_text())
     document["payload"] = draw(_shaped_like(document["payload"]))
-    options = draw(OPTIONS)
+    options = _options(draw, args[0])
     return [*args, *options, "--input", "-"], document
 
 
@@ -736,6 +760,10 @@ SUBCOMMANDS = [
     "mu", "destabilize", "dispo-check", "deform", "form-check", "dualize", "bounds",
     "enumerate-compositions",
 ]
+# Each subcommand's first golden case.
+FIRST_CASE = {args[0]: (args, expected) for args, expected in reversed(CASES)}
+# The arguments of each subcommand beyond the common flags.
+OWN_ARGUMENTS = {"mu": ["--kind"], "bounds": ["type"], "enumerate-compositions": ["s"]}
 
 
 def _argparse_exit(argv, capsys):
@@ -755,9 +783,32 @@ class TestParser:
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_subcommand_help(self, command, capsys):
+        """The help lists `-h` and exactly the arguments the subcommand reads."""
         code, out, err = _argparse_exit([command, "--help"], capsys)
         assert (code, err) == (0, "")
         assert out.startswith(f"usage: semistab {command} ")
+        listed = re.findall(r"^  (?:-h, )?(\S+)", out, re.MULTILINE)
+        own = OWN_ARGUMENTS.get(command, [])
+        assert sorted(listed) == sorted(["--help", *FLAGS_READ[command], *own])
+
+    @pytest.mark.parametrize("flag", COMMON_FLAGS)
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_common_flag(self, command, flag, capsys, monkeypatch):
+        """A subcommand takes a common flag it reads and refuses the others with a usage error."""
+        args, expected = FIRST_CASE[command]
+        argv = [*args, flag, *(["-"] if flag == "--input" else [])]
+        monkeypatch.chdir(GOLDEN)
+        if flag not in FLAGS_READ[command]:
+            code, out, err = _argparse_exit(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: semistab")
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[len(args):])}\n")
+            return
+        text = (GOLDEN / args[args.index("--input") + 1]).read_text() if flag == "--input" else ""
+        code, out, err = _run_in_process(argv, text)
+        assert (code in (0, 1), err) == (True, "")
+        if flag != "--strict":  # which may change the verdict
+            assert json.loads(out) == json.loads((GOLDEN / "expected" / expected).read_text())
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["bounds"]], ids=["none", "bogus", "bounds"])
     def test_usage_error(self, argv, capsys):
@@ -772,6 +823,36 @@ def test_bounds_rank_needs_ascii_digits(text):
     assert _run_in_process(["bounds", text], "") == (
         2, "", f"error: cannot parse Dynkin type {text!r}\n"
     )
+
+
+@pytest.mark.parametrize("text", ["\u0663", "0_3", " 3", "3 ", "+3", "-\u0663", "3.0", ""])
+def test_enumerate_compositions_needs_ascii_digits(text, capsys):
+    """argparse's `int` read each of the first five as s = 3 (exit 0)."""
+    code, out, err = _argparse_exit(["enumerate-compositions", text], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: semistab enumerate-compositions ")
+    assert err.endswith(f"error: argument s: expected ASCII digits, got {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["0", "-1"])
+def test_enumerate_compositions_below_one(text):
+    assert _run_in_process(["enumerate-compositions", text], "") == (
+        2, "", "error: s must be at least 1\n"
+    )
+
+
+VERDICT_CASES = [case for case in CASES if "--fail-on-unstable" in FLAGS_READ[case[0][0]]]
+
+
+@pytest.mark.parametrize("fail_on_unstable", [False, True], ids=["plain", "fail-on-unstable"])
+@pytest.mark.parametrize("args, expected", VERDICT_CASES, ids=[c[1] for c in VERDICT_CASES])
+def test_exit_status_follows_the_verdict(args, expected, fail_on_unstable, monkeypatch):
+    """Exit 1 exactly when --fail-on-unstable is given and the verdict is unstable or violated."""
+    monkeypatch.chdir(GOLDEN)
+    argv = [*args, *(["--fail-on-unstable"] if fail_on_unstable else [])]
+    code, out, err = _run_in_process(argv, "")
+    assert (out, err) == ((GOLDEN / "expected" / expected).read_text(), "")
+    assert code == int(fail_on_unstable and json.loads(out)["verdict"] in FAILED_VERDICTS)
 
 
 # The golden rank-2 filtration has block weights (-1, 1) and M = L = 0, so

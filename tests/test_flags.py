@@ -69,6 +69,12 @@ class TestWeightedFlagOf:
             WeightedFlag((1,), (1, 1), (1, 2, 3))
         assert WeightedFlag((1, 2), (1, 1), (1, 2, 3)).blocks() == [(1,), (2,), (3,)]
 
+    @pytest.mark.parametrize("order", [(7, 7, 0), (1, 1, 2), (0, 1, 2), (2, 3, 4)])
+    def test_basis_order_must_permute_the_basis(self, order):
+        """(7, 7, 0) used to give the blocks [(7,), (0, 7)], of basis indices that do not exist."""
+        with pytest.raises(MalformedFiltration, match=r"a permutation of 1\.\.3"):
+            WeightedFlag((1,), (1,), order)
+
     def test_stable_tie_order(self):
         f = weighted_flag_of(OneParamSubgroup((1, -1, 1, -1)))
         assert f.basis_order == (2, 4, 1, 3)
