@@ -35,12 +35,12 @@ The kernel flag.  A degenerate form (det Phi = 0) has a kernel flag K.
 Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
 K is the witness of every `semistable_form` check on such a form, whatever
 the other flags score, and it never counts for `ramanathan_semistable`,
-which asks only about flags with mu = 0.  For either flag source, one
-generic rank of Phi tells the two cases apart before any flag is scored,
-and only a `semistable_form` check builds K and confirms it generically.
-Supplied flags are then scored one by one.  Scoring is a pure function of
-the form and the flag: one pass checks the flag rule and finds each step's
-basis, then `filtration_data_of` takes the minors and `form_profile` Phi w.
+which asks only about flags with mu = 0.  Only a `semistable_form` check,
+for either flag source, takes the rank of Phi first and, if it falls short,
+builds K and confirms it generically, each priced.  Supplied flags are then
+scored one by one, each a pure function of the form and the flag: one pass
+checks the flag rule and finds each step's basis, one elimination a step,
+then `filtration_data_of` takes the minors and `form_profile` Phi w.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import le, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _polyalg
@@ -190,30 +190,28 @@ def coordinate_flag(
     return SubsheafFlag(tuple(steps))
 
 
-def _step_matrix(step: FlagStep, r: int) -> list[list[UniPoly]]:
-    for column in step.columns:
+def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[UniPoly, ...]], bool]:
+    """The greedy independent columns of one step over Q(x), and whether the columns
+    `below` lie in their span, from one elimination of [step | below]: Bareiss picks
+    its pivots column by column, and `below` adds none exactly when it lies in the span.
+
+    Priced before it runs and refused over `MINOR_WORK_CAP`: the echelon as if of full
+    rank, then the C(r, k) maximal minors of the rank-k basis.
+    """
+    columns = (*step.columns, *below)
+    for column in columns:
         if len(column) != r:
             raise MalformedFlag(f"generator column has length {len(column)}, expected {r}")
-    return [[column[a] for column in step.columns] for a in range(r)]
-
-
-def _basis(r: int, step: FlagStep) -> list[tuple[UniPoly, ...]]:
-    """The greedy independent columns of one step over Q(x).
-
-    Each elimination is priced before it runs and refused over
-    `MINOR_WORK_CAP`: the r x m echelon as if its m columns had full rank,
-    then the C(r, k) maximal minors of the rank-k basis.
-    """
-    matrix = _step_matrix(step, r)
     m = len(step.columns)
-    d = max((p.degree for column in step.columns for p in column), default=-1)
-    price = _elimination_price(r, m, d)
+    d = max((p.degree for column in columns for p in column), default=-1)
+    price = _elimination_price(r, len(columns), d)
     if price > MINOR_WORK_CAP:
         raise TooLarge(
             f"a step of {m} generator columns at rank {r} costs {price} units to eliminate "
             f"(columns of degree {d}); this exceeds the cap {MINOR_WORK_CAP}"
         )
-    basis = [step.columns[c] for c in _polyalg.independent_columns(matrix)]
+    pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
+    basis = [columns[c] for c in pivots if c < m]
     k = len(basis)
     if k:
         price, priced_as = _minor_price(basis)
@@ -222,7 +220,7 @@ def _basis(r: int, step: FlagStep) -> list[tuple[UniPoly, ...]]:
                 f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
                 f"C(r, k) * {priced_as} exceeds the cap {MINOR_WORK_CAP}"
             )
-    return basis
+    return basis, k == len(pivots)
 
 
 def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> int:
@@ -263,41 +261,42 @@ def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
     return price, f"{price} (a minor of degree-{d} columns)"
 
 
-def _checked_steps(r: int, steps: Iterable, rank: Callable, nested: Callable) -> list:
-    """The steps, taken one at a time, once their ranks rise strictly, lie strictly
-    between 0 and r, and `nested(lower, upper)` holds for each step and the one before.
+def _checked_steps(r: int, steps: Iterable[tuple[int, bool]]) -> None:
+    """Take the (rank, nested) pairs of the steps one at a time: the ranks rise
+    strictly and lie strictly between 0 and r, and each step contains the one before.
 
     Pairs suffice: while each step's span contains the one before it, the first
     failing step and its error are those of a check against all the earlier columns.
     """
-    checked, ranks = [], []
-    for step in steps:
-        k = rank(step)
+    ranks = []
+    for k, nested in steps:
         if ranks and k <= ranks[-1]:
             raise DegenerateFlag(f"generic ranks collapse: {ranks + [k]} not strictly increasing")
         if not 0 < k < r:
             raise DegenerateFlag(f"step rank {k} must lie strictly between 0 and {r}")
-        if checked and not nested(checked[-1], step):
+        if not nested:
             raise MalformedFlag("flag steps are not nested")
-        checked.append(step)
         ranks.append(k)
-    return checked
-
-
-def _spans_within(lower: Sequence, upper: Sequence) -> bool:
-    """Whether the span of the basis `lower` lies in the span of the basis `upper` over Q(x)."""
-    joint = [[column[a] for column in (*lower, *upper)] for a in range(len(upper[0]))]
-    return _polyalg.generic_rank(joint) == len(upper)
 
 
 def _bases(r: int, flag: SubsheafFlag) -> list[list[tuple[UniPoly, ...]]]:
-    """Each step's basis, under the flag rule: a step is checked before the next is eliminated."""
-    return _checked_steps(r, (_basis(r, step) for step in flag.steps), len, _spans_within)
+    """Each step's basis under the flag rule: each step is eliminated once, with the
+    basis of the step below appended, and checked before the next is eliminated."""
+    bases = [[]]
+
+    def eliminated() -> Iterator[tuple[int, bool]]:
+        for step in flag.steps:
+            basis, nested = _basis(r, step, bases[-1])
+            bases.append(basis)
+            yield len(basis), nested
+
+    _checked_steps(r, eliminated())
+    return bases[1:]
 
 
 def saturation_degree(model: SplitSheafModel, step: FlagStep) -> int:
     """Degree of the saturation of the subsheaf generated by the columns."""
-    basis = _basis(model.rank, step)
+    basis, _ = _basis(model.rank, step)
     if not basis:
         raise DegenerateFlag("generator matrix has generic rank zero")
     return _invariants(model, basis)
@@ -352,11 +351,31 @@ def _apply(entries, column: Sequence[UniPoly]) -> tuple[UniPoly, ...]:
 
 
 def kernel_destabilizer(fb: FormBundle) -> Optional[SubsheafFlag]:
-    """Kernel flag with alpha = (1), or None if generically nondegenerate."""
-    kernel = _polyalg.generic_kernel(fb.entries)
-    if not kernel:
+    """Kernel flag with alpha = (1), or None if generically nondegenerate.
+
+    One generic rank of Phi tells the two cases apart.  Each elimination is
+    priced before it runs and refused over `MINOR_WORK_CAP`: the r x r
+    echelon of the rank, then, for a rank-k form, the (r - k) k + 1 Cramer
+    determinants of size k that build the kernel.
+    """
+    r = fb.model.rank
+    d = max(p.degree for row in fb.entries for p in row)
+    price = _elimination_price(r, r, d)
+    if price > MINOR_WORK_CAP:
+        raise TooLarge(
+            f"a form at rank {r} costs {price} units to eliminate "
+            f"(entries of degree {d}); this exceeds the cap {MINOR_WORK_CAP}"
+        )
+    k = _polyalg.generic_rank(fb.entries)
+    if k == r:
         return None
-    columns = tuple(tuple(column) for column in kernel)
+    count, price = (r - k) * k + 1, _elimination_price(k, k, d)
+    if count * price > MINOR_WORK_CAP:
+        raise TooLarge(
+            f"the kernel of a rank-{k} form at rank {r} takes {count} determinants of size {k}; "
+            f"{count} * {price} (entries of degree {d}) exceeds the cap {MINOR_WORK_CAP}"
+        )
+    columns = tuple(tuple(column) for column in _polyalg.generic_kernel(fb.entries))
     return SubsheafFlag((FlagStep(columns, Fraction(1)),))
 
 
@@ -472,10 +491,9 @@ def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) 
         raise MalformedFlag(f"unknown flag source {flag_source!r}")
     elif r > EXHAUSTIVE_RANK_CAP:
         raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
-    if check.kernel_counts:
-        rank = _polyalg.generic_rank(fb.entries)
-        if rank < r:
-            return _confirmed(fb, kernel_destabilizer(fb), check.sign, -2 * (r - rank))
+    kernel = kernel_destabilizer(fb) if check.kernel_counts else None
+    if kernel:
+        return _confirmed(fb, kernel, check.sign, -2 * len(kernel.steps[0].columns))
     if supplied:
         signs = (check.sign(filtration_data_of(fb, flag), form_profile(fb, flag)) for flag in flags)
     else:
@@ -538,7 +556,7 @@ def dualize_filtration(model: SplitSheafModel, flag: SubsheafFlag) -> SubsheafFl
     """
     r = model.rank
     sets = _coordinate_sets(flag, r)
-    _checked_steps(r, sets, len, le)
+    _checked_steps(r, ((len(s), below <= s) for below, s in zip([frozenset()] + sets, sets)))
     everything = frozenset(range(1, r + 1))
     chain = [sorted(everything - s) for s in reversed(sets)]
     return coordinate_flag(chain, [step.alpha for step in reversed(flag.steps)], r=r)

@@ -219,7 +219,9 @@ for _name, (_help, _, _arguments) in _COMMANDS.items():
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, unknown = _PARSER.parse_known_args(argv)
+    if unknown:  # argparse would report them with the top-level usage
+        _SUBPARSERS.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         document = _COMMANDS[args.command][1](args)
     except SemistabError as exc:

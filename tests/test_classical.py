@@ -638,6 +638,29 @@ def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
     assert len(taken) == 2 * steps
 
 
+def test_flag_rule_eliminates_each_step_once(monkeypatch):
+    """A step's basis and its nesting come from one echelon; the nesting used to take a
+    second one for every step after the first."""
+    import semistab._polyalg as polyalg
+
+    taken = []
+
+    def counted(*args, echelon=polyalg._echelon):
+        taken.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(polyalg, "_echelon", counted)
+    columns = dense_columns(random.Random(25), 5, 4, 1)
+    polynomial = SubsheafFlag(
+        tuple(FlagStep(columns[:k], Fraction(1)) for k in (1, 2, 4))
+    )
+    coordinate = [(identity_form(4), flag) for flag in oracle_coordinate_flags(4)]
+    for fb, flag in [(identity_form(5), polynomial), *coordinate]:
+        taken.clear()
+        form_profile(fb, flag)
+        assert len(taken) == flag.step_count
+
+
 def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
     calls = _count_calls(monkeypatch, ("kernel_destabilizer",))
     degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
@@ -752,6 +775,52 @@ class TestKernelDestabilizer:
         assert len(flag.steps[0].columns) == 2
         data = filtration_data_of(fb, flag)
         assert mu_profile(data, form_profile(fb, flag)) < 0
+
+
+    def test_rank_priced(self, monkeypatch):
+        """A form at r = 16 with an entry of degree 4 is priced as if every entry had
+        degree 4, and refused before it is eliminated."""
+        import semistab._polyalg as polyalg
+
+        def no_echelon(*args):
+            raise AssertionError("the form was eliminated")
+
+        monkeypatch.setattr(polyalg, "_echelon", no_echelon)
+        model = SplitSheafModel((-2, 2) + (0,) * 14)
+        entries = tuple(
+            tuple(UniPoly.of(0, 0, 0, 0, 1) if a == b == 0 else ONE if a == b != 1 else ZERO
+                  for b in range(16))
+            for a in range(16)
+        )
+        fb = FormBundle(model, Symmetry.SYMMETRIC, entries)
+        with pytest.raises(TooLarge, match=r"^a form at rank 16 costs 15161830 units "):
+            kernel_destabilizer(fb)
+        with pytest.raises(TooLarge, match=r"^a form at rank 16 costs 15161830 units "):
+            semistable_form(fb, [coordinate_flag([[1]], r=16)])
+
+    def test_cramer_determinants_priced(self, monkeypatch):
+        """A rank-9 form at r = 10 with entries of degree 4 passes the price of its rank,
+        but not that of the 10 Cramer determinants of size 9 behind its kernel."""
+        import semistab._polyalg as polyalg
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(polyalg, "generic_kernel", no_kernel)
+        model = SplitSheafModel((-2,) * 5 + (2,) * 5)
+        rng = random.Random(9)
+        rows = [[ZERO] * 10 for _ in range(10)]
+        for a in range(9):
+            for b in range(a, 9):
+                bound = -(model.summand_degrees[a] + model.summand_degrees[b])
+                if bound >= 0:
+                    rows[a][b] = rows[b][a] = dense_columns(rng, 1, 1, bound)[0][0]
+        fb = FormBundle(model, Symmetry.SYMMETRIC, tuple(map(tuple, rows)))
+        with pytest.raises(TooLarge, match=(
+            r"^the kernel of a rank-9 form at rank 10 takes 10 determinants of size 9; "
+            r"10 \* 910530 \(entries of degree 4\) exceeds the cap 2000000$"
+        )):
+            kernel_destabilizer(fb)
 
 
 class TestSemistableForm:

@@ -374,6 +374,29 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr == "error: exhaustive enumeration capped at rank 7\n"
 
+    def test_form_above_the_kernel_rule_price(self):
+        """A supplied flag {1} on a dense form at r = 16 with entries of degree up to 4:
+        its generic rank, the kernel rule's elimination, took about 5 s unpriced."""
+        rng, r, degrees = random.Random(16), 16, [-2] * 8 + [2] * 8
+        entries = [[[] for _ in range(r)] for _ in range(r)]
+        for a in range(r):
+            for b in range(a, r):
+                if degrees[a] + degrees[b] <= 0:
+                    entry = dense_columns(rng, 1, 1, -(degrees[a] + degrees[b]))[0][0]
+                    entries[a][b] = entries[b][a] = encode_poly(entry)
+        form = {"degrees": degrees, "symmetry": "symmetric", "entries": entries}
+        flag = {"steps": [{"generators": _unit_generators(r, [1]), "alpha": "1"}]}
+        payload = {"form": form, "flags": [flag]}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        start = time.perf_counter()
+        code, out, err = _run_in_process(["form-check"], json.dumps(document))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a form at rank 16 costs 15161830 units to eliminate "
+            "(entries of degree 4); this exceeds the cap 2000000\n"
+        )
+
     @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
     def test_supplied_step_above_the_minor_cap(self, check, tmp_path):
         """The identity form at r = 24 with one step of 12 coordinate columns.
@@ -801,7 +824,7 @@ class TestParser:
         if flag not in FLAGS_READ[command]:
             code, out, err = _argparse_exit(argv, capsys)
             assert (code, out) == (2, "")
-            assert err.startswith("usage: semistab")
+            assert err.startswith(f"usage: semistab {command} ")
             assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[len(args):])}\n")
             return
         text = (GOLDEN / args[args.index("--input") + 1]).read_text() if flag == "--input" else ""
