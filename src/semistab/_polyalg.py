@@ -11,14 +11,15 @@ exact, and its remainder is checked to be zero.
 - The last pivot is the determinant up to the sign of the row swaps.
 - Minors are determinants of row subsets.
 
-Kernel basis.  The pivot rows are the rows the echelon form takes its
-pivots from, so the pivot block A is nonsingular.  For each non-pivot
-column f, in increasing order, Cramer's rule on A gives the kernel
-vector that is det A at f and zero at every other non-pivot column: the
-reduced row echelon nullspace vector times det A.  It is then scaled to
-be primitive in Z[x]: its entries have polynomial gcd 1 and integer
-content 1, and the leading coefficient of its entry at f is positive.
-That picks one vector on the line, independently of how it was found.
+Kernel basis.  The first k = rank echelon rows have the kernel of the
+matrix over Q(x).  For each non-pivot column f, in increasing order,
+back substitution up those rows gives the kernel vector that is D, the
+last pivot, at f and zero at the other non-pivot columns: D times the
+reduced row echelon nullspace vector.  D is the pivot minor up to sign,
+so every entry is a k x k minor up to sign and every division on the way
+is exact.  The vector is then made primitive in Z[x]: polynomial gcd 1,
+integer content 1 and a positive leading coefficient at f, one vector
+per line however it was found.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from .errors import InternalError
 from .exactmath import UniPoly, poly_gcd, primitive_vector
 
 PolyMatrix = Sequence[Sequence[UniPoly]]
@@ -41,19 +43,16 @@ def generic_rank(matrix: PolyMatrix) -> int:
 def _exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
     quotient, remainder = divmod(p, q)
     if not remainder.is_zero():
-        raise ArithmeticError("fraction-free elimination: inexact division")
+        raise InternalError("fraction-free elimination: inexact division")
     return quotient
 
 
-def _echelon(matrix: PolyMatrix) -> tuple[list[int], list[int], int, UniPoly]:
-    """Fraction-free row echelon form of the matrix.
-
-    Returns the original index of each echelon row, the pivot columns,
-    the sign of the row permutation and the last pivot, which is the
-    determinant up to that sign when the matrix is square and nonsingular.
-    """
+def _echelon(matrix: PolyMatrix) -> tuple[list[list[UniPoly]], list[int], int]:
+    """Fraction-free row echelon form: the reduced rows, the pivot columns and the
+    sign of the row permutation.  Row i < len(pivots) is zero before its pivot,
+    the leading (i + 1) x (i + 1) minor of the row-permuted matrix on the pivot
+    columns; the rows after the last pivot row are zero."""
     rows = [list(row) for row in matrix]
-    order = list(range(len(rows)))
     pivots: list[int] = []
     sign = 1
     previous = _ONE
@@ -64,7 +63,6 @@ def _echelon(matrix: PolyMatrix) -> tuple[list[int], list[int], int, UniPoly]:
             continue
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
-            order[k], order[pivot] = order[pivot], order[k]
             sign = -sign
         top = rows[k]
         for i in range(k + 1, len(rows)):
@@ -75,7 +73,7 @@ def _echelon(matrix: PolyMatrix) -> tuple[list[int], list[int], int, UniPoly]:
             row[col] = UniPoly.zero()
         previous = top[col]
         pivots.append(col)
-    return order, pivots, sign, previous
+    return rows, pivots, sign
 
 
 def independent_columns(matrix: PolyMatrix) -> list[int]:
@@ -87,9 +85,8 @@ def determinant(matrix: PolyMatrix) -> UniPoly:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, sign, last = _echelon(matrix)
-    if len(pivots) < n:
-        return UniPoly.zero()
+    rows, _, sign = _echelon(matrix)
+    last = rows[-1][-1] if n else _ONE  # the last row is zero when singular
     return last if sign > 0 else -last
 
 
@@ -105,22 +102,20 @@ def maximal_minors(matrix: PolyMatrix, size: int) -> dict[tuple[int, ...], UniPo
 
 
 def generic_kernel(matrix: PolyMatrix) -> list[list[UniPoly]]:
-    """Primitive polynomial basis columns of the kernel over Q(x)."""
-    order, pivots, _, _ = _echelon(matrix)
-    pivot_rows = [matrix[a] for a in order[: len(pivots)]]
-    block = [[row[p] for p in pivots] for row in pivot_rows]
-    free_columns = [f for f in range(len(matrix[0]) if matrix else 0) if f not in pivots]
-    det = determinant(block) if free_columns else None
+    """Primitive polynomial basis columns of the kernel over Q(x), by back substitution."""
+    rows, pivots, _ = _echelon(matrix)
+    width = len(matrix[0]) if matrix else 0
+    k = len(pivots)
     columns = []
-    for free in free_columns:
-        vector = [UniPoly.zero()] * len(matrix[0])
-        vector[free] = det
-        for i, p in enumerate(pivots):
-            replaced = [
-                brow[:i] + [row[free]] + brow[i + 1 :]
-                for brow, row in zip(block, pivot_rows)
-            ]
-            vector[p] = -determinant(replaced)
+    for free in (f for f in range(width) if f not in pivots):
+        vector = [UniPoly.zero()] * width
+        # D is the last row's own pivot, so it gives minus its entry at f outright.
+        vector[free] = rows[k - 1][pivots[-1]] if k else _ONE
+        if k:
+            vector[pivots[-1]] = -rows[k - 1][free]
+        for row, p in reversed(list(zip(rows, pivots[:-1]))):
+            known = (row[j] * vector[j] for j in range(p + 1, width) if not vector[j].is_zero())
+            vector[p] = -_exact_quotient(sum(known, UniPoly.zero()), row[p])
         columns.append(_primitive_column(vector, free))
     return columns
 

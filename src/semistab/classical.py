@@ -40,7 +40,7 @@ for either flag source, takes the rank of Phi first and, if it falls short,
 builds K and confirms it generically, each priced.  Supplied flags are then
 scored one by one, each a pure function of the form and the flag: one pass
 checks the flag rule and finds each step's basis, one elimination a step,
-then `filtration_data_of` takes the minors and `form_profile` Phi w.
+then `filtration_data_of` takes the minors and `_profile` Phi w.
 """
 
 from __future__ import annotations
@@ -204,12 +204,8 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
             raise MalformedFlag(f"generator column has length {len(column)}, expected {r}")
     m = len(step.columns)
     d = max((p.degree for column in columns for p in column), default=-1)
-    price = _elimination_price(r, len(columns), d)
-    if price > MINOR_WORK_CAP:
-        raise TooLarge(
-            f"a step of {m} generator columns at rank {r} costs {price} units to eliminate "
-            f"(columns of degree {d}); this exceeds the cap {MINOR_WORK_CAP}"
-        )
+    what = f"a step of {m} generator columns at rank {r}"
+    _priced(_elimination_price(r, len(columns), d), what, f"eliminate (columns of degree {d})")
     pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
     basis = [columns[c] for c in pivots if c < m]
     k = len(basis)
@@ -235,6 +231,14 @@ def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> i
         for subset, minor in minors.items()
         if not minor.is_zero()
     )
+
+
+def _priced(price: int, what: str, how: str) -> None:
+    """Raise `TooLarge` if `what` costs more than `MINOR_WORK_CAP` units to `how`."""
+    if price > MINOR_WORK_CAP:
+        raise TooLarge(
+            f"{what} costs {price} units to {how}; this exceeds the cap {MINOR_WORK_CAP}"
+        )
 
 
 def _elimination_price(r: int, k: int, d: int) -> int:
@@ -324,6 +328,11 @@ def form_profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
     rule is checked first; no minor is taken.
     """
     _bases(fb.model.rank, flag)
+    return _profile(fb, flag)
+
+
+def _profile(fb: FormBundle, flag: SubsheafFlag) -> NonvanishingProfile:
+    """`form_profile` of a flag already checked under the flag rule."""
     t = flag.step_count
     images = [[_apply(fb.entries, w) for w in step.columns] for step in flag.steps]
     tuples = {(t + 1, t + 1)}
@@ -353,28 +362,22 @@ def _apply(entries, column: Sequence[UniPoly]) -> tuple[UniPoly, ...]:
 def kernel_destabilizer(fb: FormBundle) -> Optional[SubsheafFlag]:
     """Kernel flag with alpha = (1), or None if generically nondegenerate.
 
-    One generic rank of Phi tells the two cases apart.  Each elimination is
-    priced before it runs and refused over `MINOR_WORK_CAP`: the r x r
-    echelon of the rank, then, for a rank-k form, the (r - k) k + 1 Cramer
-    determinants of size k that build the kernel.
+    One generic rank of Phi tells the two cases apart.  Each pass over Phi is
+    priced before it runs and refused over `MINOR_WORK_CAP`: the r x r echelon
+    of the rank, then for a rank-k form the kernel pass, the echelon again and
+    for each free column a back substitution up pivot rows s = k..1 of degree
+    s d, each k - s + 1 products and a quotient against entries of degree k d.
     """
     r = fb.model.rank
     d = max(p.degree for row in fb.entries for p in row)
     price = _elimination_price(r, r, d)
-    if price > MINOR_WORK_CAP:
-        raise TooLarge(
-            f"a form at rank {r} costs {price} units to eliminate "
-            f"(entries of degree {d}); this exceeds the cap {MINOR_WORK_CAP}"
-        )
+    _priced(price, f"a form at rank {r}", f"eliminate (entries of degree {d})")
     k = _polyalg.generic_rank(fb.entries)
     if k == r:
         return None
-    count, price = (r - k) * k + 1, _elimination_price(k, k, d)
-    if count * price > MINOR_WORK_CAP:
-        raise TooLarge(
-            f"the kernel of a rank-{k} form at rank {r} takes {count} determinants of size {k}; "
-            f"{count} * {price} (entries of degree {d}) exceeds the cap {MINOR_WORK_CAP}"
-        )
+    stages = ((k - s + 1) * ((s * d + 1) * (k * d + 1) + 2) for s in range(1, k + 1))
+    price += 25 * (r - k) * sum(stages)
+    _priced(price, f"the kernel of a rank-{k} form at rank {r}", f"compute (entries of degree {d})")
     columns = tuple(tuple(column) for column in _polyalg.generic_kernel(fb.entries))
     return SubsheafFlag((FlagStep(columns, Fraction(1)),))
 
@@ -495,7 +498,7 @@ def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) 
     if kernel:
         return _confirmed(fb, kernel, check.sign, -2 * len(kernel.steps[0].columns))
     if supplied:
-        signs = (check.sign(filtration_data_of(fb, flag), form_profile(fb, flag)) for flag in flags)
+        signs = (check.sign(filtration_data_of(fb, flag), _profile(fb, flag)) for flag in flags)
     else:
         score = _chain_scorer(fb)
         signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))

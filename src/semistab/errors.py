@@ -62,4 +62,5 @@ class NotExceptional(SemistabError):
 
 
 class InternalError(SemistabError):
-    """Two computations of one value disagree: a defect of the program, not of the input."""
+    """A defect of the program, not of the input: two computations of one value
+    disagree, or an exact step came out inexact."""

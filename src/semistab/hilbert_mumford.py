@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, TooLarge, TrivialSubgroup
+from .errors import DimensionMismatch, InternalError, TooLarge, TrivialSubgroup
 from .exactmath import integer, primitive_vector, rational
 from .feasibility import feasible_point
 from .flags import OneParamSubgroup
@@ -197,7 +197,7 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
         rhs.append(Fraction(-1))
     solution = feasible_point(rows, rhs)
     if solution is None:
-        raise AssertionError("hull infeasible but no destabilizer found")
+        raise InternalError("hull infeasible but no destabilizer found")
     lam = primitive_vector(solution[a] - solution[r + a] for a in range(r))
     return TorusVerdict(False, destabilizer=OneParamSubgroup(lam))
 

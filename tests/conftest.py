@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import semistab
+from semistab import _polyalg
 from semistab import (
     FiltrationData,
     FiltrationMember,
@@ -417,3 +418,73 @@ def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
         accumulated += step.columns
         ranks.append(step_rank)
     return tuple(ranks)
+
+
+def oracle_cramer_kernel(matrix) -> list:
+    """Primitive kernel basis columns over Q(x) by Cramer's rule, as the library first
+    built them: for each non-pivot column f, in increasing order, det A at f and zero at
+    every other non-pivot column, A the block of the pivot columns on the greedy
+    independent rows; `_polyalg._primitive_column` then picks the primitive vector.
+    """
+    width = len(matrix[0]) if matrix else 0
+    pivots = _polyalg.independent_columns(matrix)
+    rows = _polyalg.independent_columns([[row[p] for row in matrix] for p in pivots])
+    pivot_rows = [matrix[a] for a in rows]
+    block = [[row[p] for p in pivots] for row in pivot_rows]
+    columns = []
+    for free in (f for f in range(width) if f not in pivots):
+        vector = [UniPoly.zero()] * width
+        vector[free] = _polyalg.determinant(block)
+        for i, p in enumerate(pivots):
+            replaced = [
+                brow[:i] + [row[free]] + brow[i + 1 :] for brow, row in zip(block, pivot_rows)
+            ]
+            vector[p] = -_polyalg.determinant(replaced)
+        columns.append(_polyalg._primitive_column(vector, free))
+    return columns
+
+
+def oracle_feasible_point(a_rows, b):
+    """`feasibility.feasible_point` as first written: phase-1 simplex, Bland's rule
+    for the entering column and, among tied ratios, the least basis index to leave."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    tableau = []
+    for i, (row, bi) in enumerate(zip(a_rows, b)):
+        row, bi = [Fraction(x) for x in row], Fraction(bi)
+        if bi < 0:
+            row, bi = [-x for x in row], -bi
+        tableau.append(row + [Fraction(int(i == j)) for j in range(m)] + [bi])
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(int(n <= j < n + m)) for j in range(n + m + 1)]
+    for row in tableau:
+        cost = [c - x for c, x in zip(cost, row)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return None
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tableau[i][-1]
+    return x

@@ -1,11 +1,13 @@
 """Form bundles on split models: invariants, verdicts, duality."""
 
+import json
 import random
 import time
 from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
@@ -638,9 +640,8 @@ def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
     assert len(taken) == 2 * steps
 
 
-def test_flag_rule_eliminates_each_step_once(monkeypatch):
-    """A step's basis and its nesting come from one echelon; the nesting used to take a
-    second one for every step after the first."""
+def _count_echelons(monkeypatch) -> list:
+    """The arguments of each `_polyalg._echelon` call from now on."""
     import semistab._polyalg as polyalg
 
     taken = []
@@ -650,6 +651,13 @@ def test_flag_rule_eliminates_each_step_once(monkeypatch):
         return echelon(*args)
 
     monkeypatch.setattr(polyalg, "_echelon", counted)
+    return taken
+
+
+def test_flag_rule_eliminates_each_step_once(monkeypatch):
+    """A step's basis and its nesting come from one echelon; the nesting used to take a
+    second one for every step after the first."""
+    taken = _count_echelons(monkeypatch)
     columns = dense_columns(random.Random(25), 5, 4, 1)
     polynomial = SubsheafFlag(
         tuple(FlagStep(columns[:k], Fraction(1)) for k in (1, 2, 4))
@@ -659,6 +667,38 @@ def test_flag_rule_eliminates_each_step_once(monkeypatch):
         taken.clear()
         form_profile(fb, flag)
         assert len(taken) == flag.step_count
+
+
+def test_walk_eliminates_each_supplied_step_once(monkeypatch):
+    """A walk scores each supplied flag from one pass of the flag rule: one echelon of
+    r rows a step, after the one rank of a `semistable` check; the profile takes none,
+    and the maximal minors have fewer rows."""
+    columns = dense_columns(random.Random(28), 6, 4, 1)
+    polynomial = [
+        SubsheafFlag(tuple(FlagStep(columns[i : i + k], Fraction(1)) for k in (1, 2, 3)))
+        for i in range(2)
+    ]
+    taken = _count_echelons(monkeypatch)
+    for flags in (polynomial, oracle_coordinate_flags(4)):
+        r = len(flags[0].steps[0].columns[0])
+        steps = sum(flag.step_count for flag in flags)
+        for check, rank in ((semistable_form, 1), (ramanathan_semistable, 0)):
+            taken.clear()
+            assert check(identity_form(r), flags).semistable
+            assert sum(len(matrix) == r for matrix, in taken) == rank + steps
+
+
+@pytest.mark.parametrize("name", ["formcheck_degenerate.json", "formcheck_kernel_poly.json"])
+def test_degenerate_golden_eliminations(name, monkeypatch):
+    """A `semistable` check of a degenerate form: its rank, its kernel pass, and 5 to
+    confirm the kernel flag (its basis and 3 maximal minors, then its basis again)."""
+    from semistab.jsonio import decode_form_bundle
+
+    golden = Path(__file__).parent / "golden" / name
+    fb = decode_form_bundle(json.loads(golden.read_text())["payload"]["form"])
+    taken = _count_echelons(monkeypatch)
+    assert not semistable_form(fb).semistable
+    assert len(taken) == 7
 
 
 def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
@@ -798,9 +838,9 @@ class TestKernelDestabilizer:
         with pytest.raises(TooLarge, match=r"^a form at rank 16 costs 15161830 units "):
             semistable_form(fb, [coordinate_flag([[1]], r=16)])
 
-    def test_cramer_determinants_priced(self, monkeypatch):
+    def test_kernel_pass_priced(self, monkeypatch):
         """A rank-9 form at r = 10 with entries of degree 4 passes the price of its rank,
-        but not that of the 10 Cramer determinants of size 9 behind its kernel."""
+        but not that of its kernel pass: the echelon again and the back substitution."""
         import semistab._polyalg as polyalg
 
         def no_kernel(*args):
@@ -817,10 +857,31 @@ class TestKernelDestabilizer:
                     rows[a][b] = rows[b][a] = dense_columns(rng, 1, 1, bound)[0][0]
         fb = FormBundle(model, Symmetry.SYMMETRIC, tuple(map(tuple, rows)))
         with pytest.raises(TooLarge, match=(
-            r"^the kernel of a rank-9 form at rank 10 takes 10 determinants of size 9; "
-            r"10 \* 910530 \(entries of degree 4\) exceeds the cap 2000000$"
+            r"^the kernel of a rank-9 form at rank 10 costs 2173980 units to compute "
+            r"\(entries of degree 4\); this exceeds the cap 2000000$"
         )):
             kernel_destabilizer(fb)
+
+    def test_eliminations(self, monkeypatch):
+        """A degenerate form is eliminated twice, for its rank and its kernel pass, a
+        nondegenerate one once, and no determinant is taken."""
+        import semistab._polyalg as polyalg
+
+        taken = _count_echelons(monkeypatch)
+
+        def no_determinant(*args):
+            raise AssertionError("a determinant was taken")
+
+        monkeypatch.setattr(polyalg, "determinant", no_determinant)
+        degenerate = constant_form(
+            TRIVIAL_4,
+            Symmetry.ANTISYMMETRIC,
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        )
+        for fb, count in [(degenerate, 2), (SYMPLECTIC, 1), (identity_form(5), 1)]:
+            taken.clear()
+            kernel_destabilizer(fb)
+            assert len(taken) == count
 
 
 class TestSemistableForm:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import semistab.cli
 from conftest import dense_columns, run_semistab
+from semistab import UniPoly
 from semistab.jsonio import encode_poly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +38,10 @@ CASES = [
     (
         ["form-check", "--input", "formcheck_degenerate.json"],
         "formcheck_degenerate.out",
+    ),
+    (
+        ["form-check", "--input", "formcheck_kernel_poly.json"],
+        "formcheck_kernel_poly.out",
     ),
     (["dualize", "--input", "dualize_line.json"], "dualize_line.out"),
     (["bounds", "E8"], "bounds_E8.out"),
@@ -395,6 +400,27 @@ class TestExitCodes:
         assert err == (
             "error: a form at rank 16 costs 15161830 units to eliminate "
             "(entries of degree 4); this exceeds the cap 2000000\n"
+        )
+
+    def test_inexact_division_is_a_defect(self, monkeypatch):
+        """An exact division that leaves a remainder is a defect: exit 2, one line."""
+        import semistab._polyalg as polyalg
+
+        def inexact(p, q):
+            return divmod(p, q)[0], UniPoly.of(1)
+
+        monkeypatch.setattr(polyalg, "divmod", inexact, raising=False)
+        text = (GOLDEN / "formcheck_kernel_poly.json").read_text()
+        assert _run_in_process(["form-check"], text) == (
+            2, "", "error: fraction-free elimination: inexact division\n"
+        )
+
+    def test_missing_destabilizer_is_a_defect(self, monkeypatch):
+        """A hull LP and a fallback LP that both come back infeasible: exit 2, one line."""
+        monkeypatch.setattr(semistab.hilbert_mumford, "feasible_point", lambda rows, rhs: None)
+        text = (GOLDEN / "destabilize_full.json").read_text()
+        assert _run_in_process(["destabilize"], text) == (
+            2, "", "error: hull infeasible but no destabilizer found\n"
         )
 
     @pytest.mark.parametrize("check", ["semistable", "ramanathan"])

@@ -18,9 +18,10 @@ from semistab import (
     weighted_compositions,
 )
 from semistab.errors import DimensionMismatch, TooLarge, TrivialSubgroup
+from semistab.feasibility import feasible_point
 from semistab.hilbert_mumford import sum_zero_grid
 
-from conftest import grid_vectors, mu_flag_invariance_check, random_rep
+from conftest import grid_vectors, mu_flag_invariance_check, oracle_feasible_point, random_rep
 
 STANDARD = TorusWeightRep(2, (("e1", (1, 0)), ("e2", (0, 1))))
 FULL = RepPoint((("e1", Fraction(1)), ("e2", Fraction(1))))
@@ -213,6 +214,37 @@ class TestTorusDestabilize:
                         tuple(v // g for v in vec) if g > 1 else vec
                     )
             assert verdict.destabilizer.weights == min(minimizers)
+
+    def test_feasible_points_match_the_frozen_simplex(self, monkeypatch):
+        """The points of degenerate systems pin Bland's tie-break in the ratio test.
+
+        Seeded systems b = A x, x >= 0 with five of its eight coordinates zero,
+        and the hull and fallback systems `torus_destabilize` builds, the grid
+        emptied so that every unstable point takes the fallback.  Leaving by
+        the largest tied basis index instead changes 4 of the 200 seeded
+        points and 4 of the torus points.
+        """
+        import semistab.hilbert_mumford as hm
+
+        systems = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            a_rows = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(4)]
+            x = [0] * 5 + [rng.randint(0, 2) for _ in range(3)]
+            rng.shuffle(x)
+            systems.append((a_rows, [sum(a * v for a, v in zip(row, x)) for row in a_rows]))
+
+        def recorded(rows, rhs):
+            systems.append((rows, rhs))
+            return feasible_point(rows, rhs)
+
+        monkeypatch.setattr(hm, "feasible_point", recorded)
+        monkeypatch.setattr(hm, "sum_zero_grid", lambda r: iter(()))
+        for seed in range(100):
+            torus_destabilize(*random_rep(random.Random(seed), max_rank=5, max_basis=10))
+        assert len(systems) > 300
+        for a_rows, b in systems:
+            assert feasible_point(a_rows, b) == oracle_feasible_point(a_rows, b)
 
 
 class TestDimensions:

@@ -16,7 +16,7 @@ from semistab import UniPoly
 from semistab import _polyalg
 from semistab.jsonio import encode_poly
 
-from conftest import SEMISTAB_ROOT
+from conftest import SEMISTAB_ROOT, oracle_cramer_kernel
 
 X = sympy.Symbol("x")
 
@@ -172,6 +172,60 @@ def test_kernel_matches_sympy(matrix):
     except sympy.PolynomialError:
         return  # sympy cannot normalise this basis; the checks above still hold
     assert kernel == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kernel_matches_cramer(matrix):
+    assert _polyalg.generic_kernel(matrix) == oracle_cramer_kernel(matrix)
+
+
+@st.composite
+def degenerate_forms(draw):
+    """Symmetric C E C^T or antisymmetric C J C^T at r = 2..7 through an inner size
+    k < r, C of degree at most 1, E and J constant: corank r - k or more."""
+    r = draw(st.integers(2, 7))
+    antisymmetric = draw(st.booleans())
+    k = draw(st.integers(1, r - 1))
+    left = draw(st.lists(st.lists(polys(1), min_size=k, max_size=k), min_size=r, max_size=r))
+    inner = [[UniPoly.zero()] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            if antisymmetric and a == b:
+                continue
+            entry = draw(polys(0))
+            inner[a][b], inner[b][a] = entry, -entry if antisymmetric else entry
+    transpose = [list(column) for column in zip(*left)]
+    return product(product(left, inner), transpose)
+
+
+@settings(max_examples=50, deadline=None)
+@given(degenerate_forms())
+def test_form_kernel_matches_cramer(matrix):
+    assert _polyalg.generic_kernel(matrix) == oracle_cramer_kernel(matrix)
+
+
+nonzero_coefficient = coefficient.filter(lambda c: c != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(polys(2), min_size=1, max_size=5).filter(lambda v: any(not p.is_zero() for p in v)),
+    nonzero_coefficient,
+    polys(2).filter(lambda p: not p.is_zero()),
+    st.data(),
+)
+def test_primitive_column_picks_one_vector_per_line(vector, c, g, data):
+    """The same vector for every nonzero multiple g c v: integral, content 1, polynomial
+    gcd 1 and a positive leading coefficient at the free column."""
+    free = data.draw(st.sampled_from([f for f, p in enumerate(vector) if not p.is_zero()]))
+    primitive = _polyalg._primitive_column(vector, free)
+    assert _polyalg._primitive_column([(p * g).scale(c) for p in vector], free) == primitive
+    coefficients = [a for p in primitive for a in p.coefficients]
+    assert all(a.denominator == 1 for a in coefficients)
+    assert gcd(*[int(a) for a in coefficients]) == 1
+    assert _polyalg.poly_content(primitive).degree == 0
+    assert primitive[free].leading > 0
 
 
 # -- fixed cases ----------------------------------------------------------------
