@@ -7,7 +7,6 @@ line, and characteristic-bound lookup tables — all over exact rationals.
 """
 
 from .classical import (
-    EXHAUSTIVE,
     FlagStep,
     FormBundle,
     FormVerdict,

@@ -6,8 +6,8 @@ entries.  Subsheaf flags are given by explicit polynomial generator
 matrices; their discrete invariants feed the dispo calculus, where the
 form's nonvanishing profile (s = 2, pairs) decides semistability.
 
-Coordinate flags in integers.  The default `"exhaustive"` walk scores
-every chain S_1 < ... < S_t of nonempty proper subsets of 1..r, each
+Coordinate flags in integers.  Without flags (`flags=None`), the walk
+scores every chain S_1 < ... < S_t of nonempty proper subsets of 1..r, each
 alpha 1, without building a flag.  Step j is the sum of the summands in
 S_j: its rank is |S_j| and its saturation degree sum_{k in S_j} d_k (its
 one nonzero maximal minor is 1).
@@ -36,11 +36,12 @@ Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
 K is the witness of every `semistable_form` check on such a form, whatever
 the other flags score, and it never counts for `ramanathan_semistable`,
 which asks only about flags with mu = 0.  Only a `semistable_form` check,
-for either flag source, takes the rank of Phi first and, if it falls short,
-builds K and confirms it generically, each priced.  Supplied flags are then
-scored one by one, each a pure function of the form and the flag: one pass
-checks the flag rule and finds each step's basis, one elimination a step,
-then `filtration_data_of` takes the minors and `_profile` Phi w.
+with flags or without, takes the rank of Phi first and, if it falls short,
+builds K and confirms it generically, each priced, before the walk's rank
+cap.  Supplied flags are then scored one by one, each a pure function of
+the form and the flag: one pass checks the flag rule and finds each step's
+basis, one elimination a step, then `filtration_data_of` takes the minors
+and `_profile` Phi w.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _polyalg
 from .dispo import (
@@ -382,11 +383,6 @@ def kernel_destabilizer(fb: FormBundle) -> Optional[SubsheafFlag]:
     return SubsheafFlag((FlagStep(columns, Fraction(1)),))
 
 
-FlagSource = Union[str, Sequence[SubsheafFlag]]
-
-EXHAUSTIVE = "exhaustive"
-
-
 @dataclass(frozen=True)
 class FormVerdict:
     semistable: bool
@@ -482,40 +478,39 @@ def _confirmed(fb: FormBundle, flag: SubsheafFlag, sign: Sign, expected: int) ->
     return FormVerdict(False, flag)
 
 
-def _walk(fb: FormBundle, flag_source: FlagSource, check: _Check, strict: bool) -> FormVerdict:
-    """The kernel rule, then the dispo violation rule over the flags of the source."""
-    r = fb.model.rank
-    supplied = not isinstance(flag_source, str)
-    if supplied:
-        flags = list(flag_source)
-        if any(not flag.steps for flag in flags):
-            raise MalformedFlag("a supplied flag needs at least one step")
-    elif flag_source != EXHAUSTIVE:
-        raise MalformedFlag(f"unknown flag source {flag_source!r}")
-    elif r > EXHAUSTIVE_RANK_CAP:
-        raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+def _walk(
+    fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]], check: _Check, strict: bool
+) -> FormVerdict:
+    """The kernel rule, then the dispo violation rule over the supplied flags, or over
+    every coordinate chain when `flags` is None."""
+    if any(not flag.steps for flag in flags or ()):
+        raise MalformedFlag("a supplied flag needs at least one step")
     kernel = kernel_destabilizer(fb) if check.kernel_counts else None
     if kernel:
         return _confirmed(fb, kernel, check.sign, -2 * len(kernel.steps[0].columns))
-    if supplied:
+    if flags is not None:
         signs = (check.sign(filtration_data_of(fb, flag), _profile(fb, flag)) for flag in flags)
-    else:
-        score = _chain_scorer(fb)
-        signs = (check.chain_sign(*score(chain)) for chain in _coordinate_chains(r))
-    verdict = first_violation(signs, strict)
+        verdict = first_violation(signs, strict)
+        if verdict.semistable:
+            return FormVerdict(True)
+        return FormVerdict(False, flags[verdict.witness_index])
+    r = fb.model.rank
+    if r > EXHAUSTIVE_RANK_CAP:
+        raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+    score = _chain_scorer(fb)
+    verdict = first_violation((check.chain_sign(*score(c)) for c in _coordinate_chains(r)), strict)
     if verdict.semistable:
         return FormVerdict(True)
-    if supplied:
-        return FormVerdict(False, flags[verdict.witness_index])
     chain = next(islice(_coordinate_chains(r), verdict.witness_index, None))
     return _confirmed(fb, coordinate_flag(chain, r=r), check.sign, check.chain_sign(*score(chain)))
 
 
 def semistable_form(
-    fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
+    fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]] = None, strict: bool = False
 ) -> FormVerdict:
-    """Asymptotic semistability: a degenerate form's kernel flag, else the flags of the source."""
-    return _walk(fb, flag_source, _SEMISTABLE, strict)
+    """Asymptotic semistability: a degenerate form's kernel flag, else the supplied flags,
+    or every coordinate chain when `flags` is None."""
+    return _walk(fb, flags, _SEMISTABLE, strict)
 
 
 def _ramanathan_sign(data: FiltrationData, profile: NonvanishingProfile) -> Fraction:
@@ -528,10 +523,11 @@ _RAMANATHAN = _Check(_ramanathan_sign, lambda mu, l: 1 if mu else l, kernel_coun
 
 
 def ramanathan_semistable(
-    fb: FormBundle, flag_source: FlagSource = EXHAUSTIVE, strict: bool = False
+    fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]] = None, strict: bool = False
 ) -> FormVerdict:
-    """L (>=) 0 over every flag of the source whose mu vanishes; the kernel flag never counts."""
-    return _walk(fb, flag_source, _RAMANATHAN, strict)
+    """L (>=) 0 over every flag whose mu vanishes, of the supplied flags or, when `flags`
+    is None, of the coordinate chains; the kernel flag never counts."""
+    return _walk(fb, flags, _RAMANATHAN, strict)
 
 
 def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:

@@ -117,21 +117,18 @@ def _cmd_deform(args: argparse.Namespace) -> dict:
 def _cmd_form_check(args: argparse.Namespace) -> dict:
     payload = _load_instance(args.input, "form_bundle", ("form",), ("check", "flags"))
     fb = jsonio.decode_form_bundle(payload["form"])
+    flags = None
     if "flags" in payload:
-        source: classical.FlagSource = [
-            jsonio.decode_flag(f) for f in jsonio.array(payload["flags"], "flags")
-        ]
-        if not source:
+        flags = [jsonio.decode_flag(f) for f in jsonio.array(payload["flags"], "flags")]
+        if not flags:
             raise MalformedInput(
                 "flags must not be empty; leave the key out for the exhaustive walk"
             )
-    else:
-        source = classical.EXHAUSTIVE
     check = payload.get("check", "semistable")
     if check == "semistable":
-        verdict = classical.semistable_form(fb, source, strict=args.strict)
+        verdict = classical.semistable_form(fb, flags, strict=args.strict)
     elif check == "ramanathan":
-        verdict = classical.ramanathan_semistable(fb, source, strict=args.strict)
+        verdict = classical.ramanathan_semistable(fb, flags, strict=args.strict)
     else:
         raise MalformedInput(f"unknown check {check!r}")
     if verdict.semistable:

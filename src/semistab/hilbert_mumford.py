@@ -16,14 +16,15 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
+from .classical import _priced
 from .errors import DimensionMismatch, InternalError, TooLarge, TrivialSubgroup
 from .exactmath import integer, primitive_vector, rational
 from .feasibility import feasible_point
 from .flags import OneParamSubgroup
 
 GRID_RADIUS = 3
-# An unstable point scans all 7^r grid vectors; above this torus rank the
-# scan is refused (at rank 7, 823,543 vectors take about 0.6 s).
+# An unstable point scans the 7^(r - 1) tuples of the grid's free coordinates;
+# above this torus rank the scan is refused (at rank 7, 117,649 tuples).
 GRID_RANK_CAP = 7
 
 
@@ -120,10 +121,24 @@ class TorusVerdict:
 
 
 def sum_zero_grid(r: int):
-    """All nonzero sum-zero integer vectors in {-GRID_RADIUS..GRID_RADIUS}^r."""
-    for vec in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=r):
-        if any(vec) and sum(vec) == 0:
-            yield vec
+    """All nonzero sum-zero integer vectors in {-GRID_RADIUS..GRID_RADIUS}^r, in
+    lexicographic order: r - 1 free coordinates, the last one set to minus their sum."""
+    if r < 1:
+        return
+    for head in itertools.product(range(-GRID_RADIUS, GRID_RADIUS + 1), repeat=r - 1):
+        last = -sum(head)
+        if abs(last) <= GRID_RADIUS and (last or any(head)):
+            yield head + (last,)
+
+
+def _lp_price(rows: Sequence[Sequence[int]], r: int) -> int:
+    """Work units of `feasible_point` on an LP of `torus_destabilize`, in the units of
+    `MINOR_WORK_CAP`: about min(m, n) pivots for m rows of n columns, each updating the
+    m rows and the cost row of the m x (n + m + 1) tableau, with entries whose size grows
+    with the torus rank r, at 2 (r + 4) units per entry.  Just under the cap, either LP
+    took 0.2 to 1.0 s on one CPU."""
+    m, n = len(rows), len(rows[0])
+    return 2 * (r + 4) * min(m, n) * (m + 1) * (n + m + 1)
 
 
 def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
@@ -134,26 +149,21 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
     destabilizer with mu < 0, chosen lexicographically least among the
     primitive grid minimizers when the small search grid already exhibits
     one.  An unstable point above torus rank `GRID_RANK_CAP` is refused
-    with `TooLarge` before the grid is scanned.
+    with `TooLarge` before the grid is scanned, and either linear program
+    priced over `MINOR_WORK_CAP` before it runs.
     """
     r = rep.torus_rank
     weights = [rep.weight_of(label) for label in point.support]
     labels = list(point.support)
     m = len(weights)
+    of_point = f"of a point of support {m} at torus rank {r}"
 
     # Hull membership: c >= 0, sum c = 1, sum c_b w_b = t * (1,..,1).
     # Variables: c_1..c_m, t+, t-.
-    rows = []
-    rhs = []
-    rows.append([Fraction(1)] * m + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    for a in range(r):
-        rows.append(
-            [Fraction(weights[b][a]) for b in range(m)]
-            + [Fraction(-1), Fraction(1)]
-        )
-        rhs.append(Fraction(0))
-    solution = feasible_point(rows, rhs)
+    rows = [[1] * m + [0, 0]]
+    rows += [[weight[a] for weight in weights] + [-1, 1] for a in range(r)]
+    _priced(_lp_price(rows, r), f"the hull LP {of_point}", "solve")
+    solution = feasible_point(rows, [1] + [0] * r)
     if solution is not None:
         coeffs = tuple(
             (labels[b], solution[b]) for b in range(m) if solution[b] != 0
@@ -167,35 +177,24 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
             f"an unstable point at torus rank {r}: the destabilizer grid search "
             f"is capped at rank {GRID_RANK_CAP}"
         )
-    best_mu = None
-    best = None
+    best = (0, ())  # the least (mu, primitive vector) with mu < 0 so far
     for vec in sum_zero_grid(r):
         value = max(sum(g * w for g, w in zip(vec, weight)) for weight in weights)
-        if value >= 0 or (best_mu is not None and value > best_mu):
-            continue
-        cand = primitive_vector(vec)
-        if best_mu is None or value < best_mu or cand < best:
-            best_mu = value
-            best = cand
-    if best is not None:
-        return TorusVerdict(False, destabilizer=OneParamSubgroup(best))
+        if value < 0 and value <= best[0]:
+            best = min(best, (value, primitive_vector(vec)))
+    if best[1]:
+        return TorusVerdict(False, destabilizer=OneParamSubgroup(best[1]))
 
     # Grid too small: fall back to exact LP search for lambda with
     # <lambda, w_b> <= -1 for all support weights, sum lambda = 0.
     # Variables: u_1..u_r, v_1..v_r (lambda = u - v), slacks s_1..s_m.
-    rows = []
-    rhs = []
-    rows.append(
-        [Fraction(1)] * r + [Fraction(-1)] * r + [Fraction(0)] * m
-    )
-    rhs.append(Fraction(0))
-    for b in range(m):
-        row = [Fraction(weights[b][a]) for a in range(r)]
-        row += [Fraction(-weights[b][a]) for a in range(r)]
-        row += [Fraction(int(b == j)) for j in range(m)]
-        rows.append(row)
-        rhs.append(Fraction(-1))
-    solution = feasible_point(rows, rhs)
+    rows = [[1] * r + [-1] * r + [0] * m]
+    rows += [
+        [*weight, *(-w for w in weight), *(int(b == j) for j in range(m))]
+        for b, weight in enumerate(weights)
+    ]
+    _priced(_lp_price(rows, r), f"the destabilizer LP {of_point}", "solve")
+    solution = feasible_point(rows, [0] + [-1] * m)
     if solution is None:
         raise InternalError("hull infeasible but no destabilizer found")
     lam = primitive_vector(solution[a] - solution[r + a] for a in range(r))

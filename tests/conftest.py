@@ -40,7 +40,7 @@ from semistab import (
     slope_semistable,
     weighted_flag_of,
 )
-from semistab.classical import EXHAUSTIVE, EXHAUSTIVE_RANK_CAP
+from semistab.classical import EXHAUSTIVE_RANK_CAP
 from semistab.errors import DegenerateFlag, InvalidDelta, MalformedFlag, TooLarge
 
 # The directory holding the imported ``semistab`` package: ``src/`` for an
@@ -284,26 +284,27 @@ def oracle_coordinate_flags(r: int) -> list:
     return [SubsheafFlag(tuple(steps[s] for s in chain)) for chain in chains]
 
 
-def oracle_gather_flags(fb, flag_source=EXHAUSTIVE):
-    """Every flag the first loops scored, in order: the kernel flag of a degenerate form first.
+def oracle_gather_flags(fb, flags=None):
+    """Every flag the first loops scored, in order and drawn lazily: the kernel flag of a
+    degenerate form first.
 
-    For both checks and both sources, so that a loop over these flags
-    states the kernel rule only through the scores.  The exhaustive source
-    is every flag of `oracle_coordinate_flags`, under the library's rank
-    cap, each scored as a supplied flag.
+    For both checks, with flags supplied or not, so that a loop over these
+    flags states the kernel rule only through the scores.  With `flags` None
+    they are every flag of `oracle_coordinate_flags`, each scored as a
+    supplied flag, under the library's rank cap, which is checked only after
+    the kernel flag: a degenerate form is refused only by a loop that goes
+    past its kernel flag.
     """
-    if not isinstance(flag_source, str):
-        flags = list(flag_source)
-        if any(not flag.steps for flag in flags):
-            raise MalformedFlag("a supplied flag needs at least one step")
-    elif flag_source != EXHAUSTIVE:
-        raise MalformedFlag(f"unknown flag source {flag_source!r}")
-    elif fb.model.rank > EXHAUSTIVE_RANK_CAP:
-        raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
-    else:
-        flags = oracle_coordinate_flags(fb.model.rank)
+    if flags is not None and any(not flag.steps for flag in flags):
+        raise MalformedFlag("a supplied flag needs at least one step")
     kernel = kernel_destabilizer(fb)
-    return ([] if kernel is None else [kernel]) + flags
+    if kernel is not None:
+        yield kernel
+    if flags is None:
+        if fb.model.rank > EXHAUSTIVE_RANK_CAP:
+            raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+        flags = oracle_coordinate_flags(fb.model.rank)
+    yield from flags
 
 
 @functools.lru_cache(maxsize=1)
@@ -348,8 +349,8 @@ def oracle_score(fb, flag):
     return data, NonvanishingProfile(t, 2, frozenset(tuples))
 
 
-def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
-    for flag in oracle_gather_flags(fb, flag_source):
+def oracle_semistable_form(fb, flags=None, strict=False):
+    for flag in oracle_gather_flags(fb, flags):
         data, profile = oracle_score(fb, flag)
         value = mu_profile(data, profile)
         if value < 0:
@@ -361,8 +362,8 @@ def oracle_semistable_form(fb, flag_source=EXHAUSTIVE, strict=False):
     return FormVerdict(True)
 
 
-def oracle_ramanathan_semistable(fb, flag_source=EXHAUSTIVE, strict=False):
-    for flag in oracle_gather_flags(fb, flag_source):
+def oracle_ramanathan_semistable(fb, flags=None, strict=False):
+    for flag in oracle_gather_flags(fb, flags):
         data, profile = oracle_score(fb, flag)
         if mu_profile(data, profile) != 0:
             continue
@@ -442,6 +443,33 @@ def oracle_cramer_kernel(matrix) -> list:
             vector[p] = -_polyalg.determinant(replaced)
         columns.append(_polyalg._primitive_column(vector, free))
     return columns
+
+
+def oracle_hull_system(weights, r):
+    """The hull system of `torus_destabilize` as first written, in `Fraction`s:
+    c >= 0, sum c = 1, sum c_b w_b = t (1, .., 1), over c_1..c_m, t+, t-."""
+    m = len(weights)
+    rows = [[Fraction(1)] * m + [Fraction(0), Fraction(0)]]
+    rhs = [Fraction(1)]
+    for a in range(r):
+        rows.append([Fraction(weights[b][a]) for b in range(m)] + [Fraction(-1), Fraction(1)])
+        rhs.append(Fraction(0))
+    return rows, rhs
+
+
+def oracle_fallback_system(weights, r):
+    """The fallback system of `torus_destabilize` as first written, in `Fraction`s:
+    <lambda, w_b> + s_b = -1 and sum lambda = 0, over u, v (lambda = u - v) and s."""
+    m = len(weights)
+    rows = [[Fraction(1)] * r + [Fraction(-1)] * r + [Fraction(0)] * m]
+    rhs = [Fraction(0)]
+    for b in range(m):
+        row = [Fraction(weights[b][a]) for a in range(r)]
+        row += [Fraction(-weights[b][a]) for a in range(r)]
+        row += [Fraction(int(b == j)) for j in range(m)]
+        rows.append(row)
+        rhs.append(Fraction(-1))
+    return rows, rhs
 
 
 def oracle_feasible_point(a_rows, b):

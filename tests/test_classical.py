@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semistab import (
-    EXHAUSTIVE,
     FiltrationData,
     FiltrationMember,
     FlagStep,
@@ -904,6 +903,22 @@ class TestSemistableForm:
         with pytest.raises(TooLarge):
             semistable_form(fb)
 
+    @pytest.mark.parametrize("r", [8, 12])
+    def test_degenerate_form_above_the_rank_cap(self, r):
+        """diag(1, .., 1, 0): the kernel rule decides the semistable check before the
+        walk's rank cap is checked; the ramanathan check still walks, and is refused."""
+        fb = constant_form(
+            SplitSheafModel((0,) * r),
+            Symmetry.SYMMETRIC,
+            [[int(a == b < r - 1) for b in range(r)] for a in range(r)],
+        )
+        verdict = semistable_form(fb)
+        assert verdict == FormVerdict(False, coordinate_flag([[r]], r=r))
+        assert verdict == oracle_semistable_form(fb)
+        for check in (ramanathan_semistable, oracle_ramanathan_semistable):
+            with pytest.raises(TooLarge, match="^exhaustive enumeration capped at rank 7$"):
+                check(fb)
+
     def test_walk_at_the_cap(self):
         fb = identity_form(EXHAUSTIVE_RANK_CAP)
         for strict in (False, True):
@@ -993,20 +1008,18 @@ class TestVerdictOracles:
     def test_match_the_first_loops(self, fb, data):
         """Verdict and witness agree with the two loops that each stated the rule.
 
-        The flags are the exhaustive walk or supplied weighted coordinate
-        flags.  The loops score the kernel flag of a degenerate form first
-        for both checks; the library builds it only for `semistable_form`.
+        The flags are the exhaustive walk (None) or supplied weighted
+        coordinate flags.  The loops score the kernel flag of a degenerate
+        form first for both checks; the library builds it only for
+        `semistable_form`.
         """
+        flags = None
         if data.draw(st.booleans()):
-            source = EXHAUSTIVE
-        else:
-            source = data.draw(st.lists(weighted_coordinate_flags(fb.model.rank), max_size=6))
+            flags = data.draw(st.lists(weighted_coordinate_flags(fb.model.rank), max_size=6))
         for strict in (False, True):
-            assert semistable_form(fb, source, strict) == oracle_semistable_form(
-                fb, source, strict
-            )
-            assert ramanathan_semistable(fb, source, strict) == oracle_ramanathan_semistable(
-                fb, source, strict
+            assert semistable_form(fb, flags, strict) == oracle_semistable_form(fb, flags, strict)
+            assert ramanathan_semistable(fb, flags, strict) == oracle_ramanathan_semistable(
+                fb, flags, strict
             )
 
     @settings(max_examples=100, deadline=None)
@@ -1053,24 +1066,23 @@ class TestOracleScores:
 def assert_exhaustive_walks_agree(fb):
     """Both checks, both strict values: the oracle's verdict and witness."""
     for strict in (False, True):
-        assert semistable_form(fb, EXHAUSTIVE, strict) == oracle_semistable_form(
-            fb, EXHAUSTIVE, strict
-        )
-        assert ramanathan_semistable(fb, EXHAUSTIVE, strict) == oracle_ramanathan_semistable(
-            fb, EXHAUSTIVE, strict
+        assert semistable_form(fb, None, strict) == oracle_semistable_form(fb, None, strict)
+        assert ramanathan_semistable(fb, None, strict) == oracle_ramanathan_semistable(
+            fb, None, strict
         )
 
 
 @st.composite
-def forms_with_flag_sources(draw, form=forms):
-    """A form and a flag source: exhaustive, weighted coordinate flags or a nested polynomial flag."""
+def forms_and_flags(draw, form=forms):
+    """A form and its flags: None (the exhaustive walk), weighted coordinate flags or a
+    nested polynomial flag."""
     kind = draw(st.sampled_from(["exhaustive", "coordinate", "polynomial"]))
     if kind == "polynomial":
         fb, flag = draw(forms_with_nested_flags(form(max_rank=5)))
         return fb, [flag]
     fb = draw(form(max_rank=4))
     if kind == "exhaustive":
-        return fb, EXHAUSTIVE
+        return fb, None
     return fb, draw(st.lists(weighted_coordinate_flags(fb.model.rank), min_size=1, max_size=6))
 
 
@@ -1082,22 +1094,20 @@ class TestConstantFunctionalsAndNonnegativeMu:
     """
 
     @settings(max_examples=100, deadline=None)
-    @given(forms_with_flag_sources())
+    @given(forms_and_flags())
     def test_M_is_the_constant_L_on_every_scored_flag(self, case):
-        fb, source = case
-        for flag in oracle_gather_flags(fb, source):
+        fb, flags = case
+        for flag in oracle_gather_flags(fb, flags):
             data = filtration_data_of(fb, flag)
             assert functional_M(data) == UniPoly.of(functional_L(data))
 
     @settings(max_examples=100, deadline=None)
-    @given(forms_with_flag_sources(nondegenerate_forms))
+    @given(forms_and_flags(nondegenerate_forms))
     def test_checks_agree_on_nondegenerate_forms(self, case):
-        fb, source = case
+        fb, flags = case
         assert kernel_destabilizer(fb) is None
         for strict in (False, True):
-            assert semistable_form(fb, source, strict) == ramanathan_semistable(
-                fb, source, strict
-            )
+            assert semistable_form(fb, flags, strict) == ramanathan_semistable(fb, flags, strict)
 
 
 class TestRamanathan:

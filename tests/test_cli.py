@@ -379,6 +379,22 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr == "error: exhaustive enumeration capped at rank 7\n"
 
+    @pytest.mark.parametrize("r", [8, 12])
+    def test_degenerate_form_above_the_rank_cap(self, r, tmp_path):
+        """diag(1, .., 1, 0) without flags exited 2 at the walk's rank cap; the kernel rule
+        decides it first.  A ramanathan check walks, and is still refused."""
+        entries = [[["1"] if a == b < r - 1 else [] for b in range(r)] for a in range(r)]
+        form = {"degrees": [0] * r, "symmetry": "symmetric", "entries": entries}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": {"form": form}}
+        result = _run_document(["form-check"], document, tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        kernel = {"steps": [{"alpha": "1", "generators": _unit_generators(r, [r])}]}
+        assert json.loads(result.stdout) == {"verdict": "unstable", "witness": kernel}
+        document["payload"]["check"] = "ramanathan"
+        result = _run_document(["form-check"], document, tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: exhaustive enumeration capped at rank 7\n"
+
     def test_form_above_the_kernel_rule_price(self):
         """A supplied flag {1} on a dense form at r = 16 with entries of degree up to 4:
         its generic rank, the kernel rule's elimination, took about 5 s unpriced."""
@@ -501,6 +517,26 @@ class TestExitCodes:
             "error: an unstable point at torus rank 8: "
             "the destabilizer grid search is capped at rank 7\n"
         )
+
+    def test_torus_point_above_the_lp_price(self, tmp_path):
+        """Pairs w, -w at torus rank 20, support 400: the hull LP took 4 to 6.5 s unpriced."""
+        rng = random.Random(400)
+        weights = []
+        for _ in range(200):
+            w = [rng.randint(-3, 3) for _ in range(20)]
+            weights += [w, [-x for x in w]]
+        basis = [{"label": f"b{i}", "weight": w} for i, w in enumerate(weights)]
+        point = {f"b{i}": "1" for i in range(400)}
+        payload = {"rep": {"torus_rank": 20, "basis": basis}, "point": point}
+        document = {"schema_version": 1, "kind": "torus_rep", "payload": payload}
+        start = time.perf_counter()
+        assert _run_in_process(["destabilize"], json.dumps(document)) == (
+            2,
+            "",
+            "error: the hull LP of a point of support 400 at torus rank 20 costs "
+            "9402624 units to solve; this exceeds the cap 2000000\n",
+        )
+        assert time.perf_counter() - start < 1
 
     def test_semistable_torus_point_above_the_grid_cap(self, tmp_path):
         result = _run_document(["destabilize"], _unit_weight_document(9, 9), tmp_path)

@@ -21,7 +21,14 @@ from semistab.errors import DimensionMismatch, TooLarge, TrivialSubgroup
 from semistab.feasibility import feasible_point
 from semistab.hilbert_mumford import sum_zero_grid
 
-from conftest import grid_vectors, mu_flag_invariance_check, oracle_feasible_point, random_rep
+from conftest import (
+    grid_vectors,
+    mu_flag_invariance_check,
+    oracle_fallback_system,
+    oracle_feasible_point,
+    oracle_hull_system,
+    random_rep,
+)
 
 STANDARD = TorusWeightRep(2, (("e1", (1, 0)), ("e2", (0, 1))))
 FULL = RepPoint((("e1", Fraction(1)), ("e2", Fraction(1))))
@@ -46,7 +53,7 @@ def grid_verdict(rep, point):
     return best is not None and best < 0
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", range(7))
 def test_library_grid_matches_independent_enumeration(r):
     assert list(sum_zero_grid(r)) == grid_vectors(r)
 
@@ -177,6 +184,49 @@ class TestTorusDestabilize:
         with pytest.raises(TooLarge, match="capped at rank 7"):
             torus_destabilize(rep, point)
 
+    def test_hull_lp_priced(self, monkeypatch):
+        """Pairs w, -w at torus rank 20, support 400: the hull LP took 4 to 6.5 s unpriced."""
+        import semistab.hilbert_mumford as hm
+
+        def no_lp(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(hm, "feasible_point", no_lp)
+        rng = random.Random(400)
+        weights = []
+        for _ in range(200):
+            w = tuple(rng.randint(-3, 3) for _ in range(20))
+            weights += [w, tuple(-x for x in w)]
+        rep = TorusWeightRep(20, tuple((f"b{i}", w) for i, w in enumerate(weights)))
+        point = RepPoint(tuple((f"b{i}", Fraction(1)) for i in range(400)))
+        with pytest.raises(TooLarge, match=(
+            r"^the hull LP of a point of support 400 at torus rank 20 costs 9402624 units "
+            r"to solve; this exceeds the cap 2000000$"
+        )):
+            torus_destabilize(rep, point)
+
+    def test_fallback_lp_priced(self, monkeypatch):
+        """An unstable point of support 80 with the grid emptied: the hull LP runs, the
+        fallback LP (81 rows) is refused before it runs."""
+        import semistab.hilbert_mumford as hm
+
+        solved = []
+
+        def recorded(rows, rhs):
+            solved.append(len(rows))
+            return feasible_point(rows, rhs)
+
+        monkeypatch.setattr(hm, "feasible_point", recorded)
+        monkeypatch.setattr(hm, "sum_zero_grid", lambda r: iter(()))
+        rep = TorusWeightRep(3, tuple((f"b{i}", (1, -1, 0)) for i in range(80)))
+        point = RepPoint(tuple((f"b{i}", Fraction(1)) for i in range(80)))
+        with pytest.raises(TooLarge, match=(
+            r"^the destabilizer LP of a point of support 80 at torus rank 3 costs 15621984 "
+            r"units to solve; this exceeds the cap 2000000$"
+        )):
+            torus_destabilize(rep, point)
+        assert solved == [4]
+
     def test_semistable_point_above_the_grid_cap(self):
         """The hull LP alone settles a semistable point, at any rank."""
         rep, point = _unit_weights(9, support=9)
@@ -220,8 +270,9 @@ class TestTorusDestabilize:
 
         Seeded systems b = A x, x >= 0 with five of its eight coordinates zero,
         and the hull and fallback systems `torus_destabilize` builds, the grid
-        emptied so that every unstable point takes the fallback.  Leaving by
-        the largest tied basis index instead changes 4 of the 200 seeded
+        emptied so that every unstable point takes the fallback; each of those
+        equals, entry by entry, the system of the frozen row builders.  Leaving
+        by the largest tied basis index instead changes 4 of the 200 seeded
         points and 4 of the torus points.
         """
         import semistab.hilbert_mumford as hm
@@ -240,9 +291,18 @@ class TestTorusDestabilize:
 
         monkeypatch.setattr(hm, "feasible_point", recorded)
         monkeypatch.setattr(hm, "sum_zero_grid", lambda r: iter(()))
+        fallbacks = 0
         for seed in range(100):
-            torus_destabilize(*random_rep(random.Random(seed), max_rank=5, max_basis=10))
-        assert len(systems) > 300
+            rep, point = random_rep(random.Random(seed), max_rank=5, max_basis=10)
+            weights = [rep.weight_of(label) for label in point.support]
+            start = len(systems)
+            verdict = torus_destabilize(rep, point)
+            frozen = [oracle_hull_system(weights, rep.torus_rank)]
+            if not verdict.semistable:
+                frozen.append(oracle_fallback_system(weights, rep.torus_rank))
+                fallbacks += 1
+            assert systems[start:] == frozen
+        assert len(systems) > 300 and fallbacks > 0
         for a_rows, b in systems:
             assert feasible_point(a_rows, b) == oracle_feasible_point(a_rows, b)
 
