@@ -40,8 +40,8 @@ with flags or without, takes the rank of Phi first and, if it falls short,
 builds K and confirms it generically, each priced, before the walk's rank
 cap.  Supplied flags are then scored one by one, each a pure function of
 the form and the flag: one pass checks the flag rule and finds each step's
-basis, one elimination a step, then `filtration_data_of` takes the minors
-and `_profile` Phi w.
+basis, one elimination a step on its nonzero rows, then `filtration_data_of`
+takes the minors on the basis's nonzero rows and `_profile` Phi w.
 """
 
 from __future__ import annotations
@@ -66,20 +66,17 @@ from .dispo import (
     mu_profile,
 )
 from .errors import (
+    MINOR_WORK_CAP,
     DegenerateFlag,
     InternalError,
     MalformedFlag,
     NotCoordinateFlag,
     TooLarge,
+    _priced,
 )
 from .exactmath import RationalLike, UniPoly, integer, rational
 
 EXHAUSTIVE_RANK_CAP = 7
-# A rank-k step at rank r has C(r, k) maximal minors, each a k x k Bareiss
-# elimination priced by `_minor_price`.  A step of more work is refused; at
-# the cap a step took 0.4-1.0 s, for coordinate columns and for dense
-# columns of degree 0 to 5.
-MINOR_WORK_CAP = 2_000_000
 
 # Shared by every coordinate flag; `UniPoly` is frozen.
 _ONE = UniPoly.of(1)
@@ -191,13 +188,21 @@ def coordinate_flag(
     return SubsheafFlag(tuple(steps))
 
 
+def _nonzero_rows(columns: Sequence[Sequence[UniPoly]], r: int) -> list[int]:
+    """The rows on which some column is nonzero."""
+    return [a for a in range(r) if any(not column[a].is_zero() for column in columns)]
+
+
 def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[UniPoly, ...]], bool]:
     """The greedy independent columns of one step over Q(x), and whether the columns
-    `below` lie in their span, from one elimination of [step | below]: Bareiss picks
-    its pivots column by column, and `below` adds none exactly when it lies in the span.
+    `below` lie in their span, from one elimination of [step | below] on its nonzero
+    rows: Bareiss picks its pivots column by column, never on a zero row, and `below`
+    adds none exactly when it lies in the span.
 
     Priced before it runs and refused over `MINOR_WORK_CAP`: the echelon as if of full
-    rank, then the C(r, k) maximal minors of the rank-k basis.
+    rank, then each maximal minor of the rank-k basis on its nonzero rows (the others
+    vanish) at the larger of a k x k elimination and the content gcd, Euclid on
+    primitive parts of minors of degree up to k d: about k (k d)^3 / 8 units.
     """
     columns = (*step.columns, *below)
     for column in columns:
@@ -205,17 +210,20 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
             raise MalformedFlag(f"generator column has length {len(column)}, expected {r}")
     m = len(step.columns)
     d = max((p.degree for column in columns for p in column), default=-1)
-    what = f"a step of {m} generator columns at rank {r}"
-    _priced(_elimination_price(r, len(columns), d), what, f"eliminate (columns of degree {d})")
-    pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
+    rows = _nonzero_rows(columns, r)
+    what, how = f"a step of {m} generator columns at rank {r}", f"eliminate (columns of degree {d})"
+    _priced(_elimination_price(len(rows), len(columns), d), what, how)
+    pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in rows])
     basis = [columns[c] for c in pivots if c < m]
     k = len(basis)
     if k:
-        price, priced_as = _minor_price(basis)
-        if comb(r, k) * price > MINOR_WORK_CAP:
+        minors = comb(len(_nonzero_rows(basis, r)), k)
+        d = max(p.degree for column in basis for p in column)
+        price = max(_elimination_price(k, k, d), k * (k * d) ** 3 // 8)
+        if minors * price > MINOR_WORK_CAP:
             raise TooLarge(
-                f"a rank-{k} step at rank {r} has {comb(r, k)} maximal minors; "
-                f"C(r, k) * {priced_as} exceeds the cap {MINOR_WORK_CAP}"
+                f"a rank-{k} step at rank {r} has {minors} maximal minors; C(r, k) * {price} "
+                f"(a minor of degree-{d} columns) exceeds the cap {MINOR_WORK_CAP}"
             )
     return basis, k == len(pivots)
 
@@ -223,23 +231,17 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
 def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> int:
     """Saturation degree of the span of a nonempty basis: with the content g
     of the maximal minors removed, the minimum over row subsets S of (sum of
-    summand degrees over S) minus deg of the reduced minor."""
-    matrix = [[column[a] for column in basis] for a in range(model.rank)]
+    summand degrees over S) minus deg of the reduced minor.  A minor on a zero
+    row vanishes, so only the nonzero rows are taken."""
+    rows = _nonzero_rows(basis, model.rank)
+    matrix = [[column[a] for column in basis] for a in rows]
     minors = _polyalg.maximal_minors(matrix, len(basis))
     content = _polyalg.poly_content(list(minors.values()))
     return min(
-        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
+        sum(model.summand_degrees[rows[i]] for i in subset) - (minor.degree - content.degree)
         for subset, minor in minors.items()
         if not minor.is_zero()
     )
-
-
-def _priced(price: int, what: str, how: str) -> None:
-    """Raise `TooLarge` if `what` costs more than `MINOR_WORK_CAP` units to `how`."""
-    if price > MINOR_WORK_CAP:
-        raise TooLarge(
-            f"{what} costs {price} units to {how}; this exceeds the cap {MINOR_WORK_CAP}"
-        )
 
 
 def _elimination_price(r: int, k: int, d: int) -> int:
@@ -247,23 +249,6 @@ def _elimination_price(r: int, k: int, d: int) -> int:
     makes (r - s)(k - s) entries of degree about s d, each from polynomial products of
     (s d + 1)^2 coefficient products plus a fixed cost of about 2, at 25 units each."""
     return 25 * sum((r - s) * (k - s) * ((s * d + 1) ** 2 + 2) for s in range(1, min(r, k))) + 30
-
-
-def _minor_price(columns: Sequence[Sequence[UniPoly]]) -> tuple[int, str]:
-    """Work units of one maximal minor of the columns, and the price as the error states it.
-
-    Coordinate columns (one constant nonzero entry each) keep their minors
-    sparse: about k^3 products on top of a fixed cost of about 30.  Other
-    columns fill the k x k elimination, and the content gcd runs Euclid on
-    primitive parts over minors of degree up to k d, coefficients growing
-    with k: about k (k d)^3 / 8 units.  A minor is priced at the larger.
-    """
-    k = len(columns)
-    d = max(p.degree for column in columns for p in column)
-    if d == 0 and all(sum(not p.is_zero() for p in column) == 1 for column in columns):
-        return k**3 + 30, "(k^3 + 30)"
-    price = max(_elimination_price(k, k, d), k * (k * d) ** 3 // 8)
-    return price, f"{price} (a minor of degree-{d} columns)"
 
 
 def _checked_steps(r: int, steps: Iterable[tuple[int, bool]]) -> None:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all semistab modules."""
+"""Exception hierarchy shared by all semistab modules, and the work cap they share."""
+
+# The work units (those of `classical._elimination_price`) a priced computation may
+# cost before `TooLarge`; just under the cap, a flag step took 0.4-1.0 s.
+MINOR_WORK_CAP = 2_000_000
 
 
 class SemistabError(Exception):
@@ -31,6 +35,14 @@ class DimensionMismatch(SemistabError):
 
 class TooLarge(SemistabError):
     """The requested enumeration exceeds the supported size cap."""
+
+
+def _priced(price: int, what: str, how: str) -> None:
+    """Raise `TooLarge` if `what` costs more than `MINOR_WORK_CAP` units to `how`."""
+    if price > MINOR_WORK_CAP:
+        raise TooLarge(
+            f"{what} costs {price} units to {how}; this exceeds the cap {MINOR_WORK_CAP}"
+        )
 
 
 class ProfileMismatch(SemistabError):

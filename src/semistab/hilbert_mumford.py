@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
-from .classical import _priced
-from .errors import DimensionMismatch, InternalError, TooLarge, TrivialSubgroup
+from .errors import DimensionMismatch, InternalError, OutOfRange, TooLarge, TrivialSubgroup
+from .errors import _priced
 from .exactmath import integer, primitive_vector, rational
 from .feasibility import feasible_point
 from .flags import OneParamSubgroup
@@ -209,36 +209,19 @@ def divided_power_dim(r: int, u: int) -> int:
 
 
 def dd_module_dim(r: int, u: int, v: int) -> int:
-    """Sum over compositions of u into v parts of products of divided-power dims."""
+    """Dimension of D^u(V^{+v}) for V of rank r: the sum over compositions of u into v
+    parts of products of divided-power dims, which is D^u of a rank-rv space."""
     if v < 1:
         raise DimensionMismatch("need v >= 1")
-    total = 0
-    for parts in _compositions(u, v):
-        product = 1
-        for part in parts:
-            product *= divided_power_dim(r, part)
-        total += product
-    return total
-
-
-def _compositions(u: int, v: int):
-    if v == 1:
-        yield (u,)
-        return
-    for first in range(u + 1):
-        for rest in _compositions(u - first, v - 1):
-            yield (first,) + rest
+    return divided_power_dim(r * v, u)
 
 
 def weighted_compositions(s: int) -> list[tuple[int, ...]]:
     """All (d_1,..,d_s) with d_i >= 0 and sum i*d_i = s!, lexicographic."""
     if s < 1:
-        raise TooLarge("s must be at least 1")
+        raise OutOfRange("s must be at least 1")
     if s > 4:
         raise TooLarge("s > 4 is not supported (tuple length s! explodes)")
-    target = 1
-    for i in range(2, s + 1):
-        target *= i
     out = []
 
     def extend(prefix: tuple[int, ...], remaining: int) -> None:
@@ -250,6 +233,5 @@ def weighted_compositions(s: int) -> list[tuple[int, ...]]:
         for d in range(remaining // index + 1):
             extend(prefix + (d,), remaining - index * d)
 
-    extend((), target)
-    out.sort()
+    extend((), factorial(s))
     return out

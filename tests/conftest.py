@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -419,6 +420,44 @@ def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
         accumulated += step.columns
         ranks.append(step_rank)
     return tuple(ranks)
+
+
+def oracle_saturation_degree(model, columns) -> int:
+    """`saturation_degree` as first written: the greedy basis of the columns over all r rows,
+    then every C(r, k) maximal minor of it, zero rows included.  With the content g of the
+    minors removed, the minimum over row subsets S of (sum of summand degrees over S) minus
+    deg of the reduced minor."""
+    r = model.rank
+    pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
+    basis = [columns[c] for c in pivots]
+    matrix = [[column[a] for column in basis] for a in range(r)]
+    minors = _polyalg.maximal_minors(matrix, len(basis))
+    content = _polyalg.poly_content(list(minors.values()))
+    return min(
+        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
+        for subset, minor in minors.items()
+        if not minor.is_zero()
+    )
+
+
+def oracle_dd_module_dim(r: int, u: int, v: int) -> int:
+    """dim D^u(V^{+v}), V of rank r, as first written: the sum over the compositions of u
+    into v parts of the products of divided-power dims C(r + part - 1, part)."""
+    def compositions(u, v):
+        if v == 1:
+            yield (u,)
+            return
+        for first in range(u + 1):
+            for rest in compositions(u - first, v - 1):
+                yield (first,) + rest
+
+    total = 0
+    for parts in compositions(u, v):
+        product = 1
+        for part in parts:
+            product *= math.comb(r + part - 1, part)
+        total += product
+    return total
 
 
 def oracle_cramer_kernel(matrix) -> list:

@@ -55,6 +55,7 @@ from conftest import (
     oracle_flag_ranks,
     oracle_gather_flags,
     oracle_ramanathan_semistable,
+    oracle_saturation_degree,
     oracle_score,
     oracle_semistable_form,
 )
@@ -153,10 +154,29 @@ class TestSaturationDegree:
     def test_minor_work_capped(self):
         """Refused before any minor is taken; a step under the cap is computed."""
         model = SplitSheafModel((0,) * 24)
-        step = coordinate_flag([range(1, 13)], r=24).steps[0]
+        start = time.perf_counter()
         with pytest.raises(TooLarge, match="has 2704156 maximal minors"):
-            saturation_degree(model, step)
+            saturation_degree(model, OVER_THE_MINOR_CAP)
+        assert time.perf_counter() - start < 1
         assert saturation_degree(model, coordinate_flag([[1, 2, 3]], r=24).steps[0]) == 0
+
+    def test_coordinate_step_takes_one_minor(self, monkeypatch):
+        """Twelve coordinate columns at r = 24 were refused for their C(24, 12) minors; on
+        their twelve nonzero rows they have one."""
+        import semistab._polyalg as polyalg
+
+        taken = []
+
+        def counted(matrix, size, minors=polyalg.maximal_minors):
+            taken.append(len(matrix))
+            return minors(matrix, size)
+
+        monkeypatch.setattr(polyalg, "maximal_minors", counted)
+        model = SplitSheafModel((1,) * 12 + (-1,) * 12)
+        start = time.perf_counter()
+        assert saturation_degree(model, coordinate_flag([range(1, 13)], r=24).steps[0]) == 12
+        assert time.perf_counter() - start < 1
+        assert taken == [12]
 
     def test_dense_polynomial_minors_priced(self, monkeypatch):
         """3,003 rank-8 minors at r = 14 of dense degree-1 columns took about a minute."""
@@ -320,12 +340,12 @@ def unit_columns(r, indices):
 
 
 # Two flags of the identity form at r = 24, each breaking two rules; the first
-# step's error is raised.  Twelve coordinate columns cost 97,380 units to
-# eliminate, under the cap, but C(24, 12) minors at k^3 + 30 units are over it.
-OVER_THE_MINOR_CAP = FlagStep(unit_columns(24, range(1, 13)), Fraction(1))
+# step's error is raised.  Twelve dense constant columns cost 97,380 units to
+# eliminate, under the cap, but C(24, 12) minors at 37,980 units are over it.
+OVER_THE_MINOR_CAP = FlagStep(dense_columns(random.Random(24), 24, 12, 0), Fraction(1))
 MINOR_CAP_MESSAGE = (
     "a rank-12 step at rank 24 has 2704156 maximal minors; "
-    "C(r, k) * (k^3 + 30) exceeds the cap 2000000"
+    "C(r, k) * 37980 (a minor of degree-0 columns) exceeds the cap 2000000"
 )
 TWO_BROKEN_RULES = {
     "over-the-cap-then-collapse": (
@@ -669,35 +689,49 @@ def test_flag_rule_eliminates_each_step_once(monkeypatch):
 
 
 def test_walk_eliminates_each_supplied_step_once(monkeypatch):
-    """A walk scores each supplied flag from one pass of the flag rule: one echelon of
-    r rows a step, after the one rank of a `semistable` check; the profile takes none,
-    and the maximal minors have fewer rows."""
+    """A walk scores each supplied flag from one pass of the flag rule: one echelon a
+    step, after the one rank of a `semistable` check; the profile takes none."""
+    import semistab._polyalg as polyalg
+
     columns = dense_columns(random.Random(28), 6, 4, 1)
     polynomial = [
         SubsheafFlag(tuple(FlagStep(columns[i : i + k], Fraction(1)) for k in (1, 2, 3)))
         for i in range(2)
     ]
     taken = _count_echelons(monkeypatch)
+    calls = {}
+    for name in ("independent_columns", "generic_rank"):
+        def counted(matrix, name=name, original=getattr(polyalg, name)):
+            before = len(taken)
+            result = original(matrix)
+            calls[name] += len(taken) - before
+            return result
+        monkeypatch.setattr(polyalg, name, counted)
     for flags in (polynomial, oracle_coordinate_flags(4)):
         r = len(flags[0].steps[0].columns[0])
         steps = sum(flag.step_count for flag in flags)
         for check, rank in ((semistable_form, 1), (ramanathan_semistable, 0)):
-            taken.clear()
+            calls.update(independent_columns=0, generic_rank=0)
             assert check(identity_form(r), flags).semistable
-            assert sum(len(matrix) == r for matrix, in taken) == rank + steps
+            assert calls == {"independent_columns": steps, "generic_rank": rank}
 
 
-@pytest.mark.parametrize("name", ["formcheck_degenerate.json", "formcheck_kernel_poly.json"])
+GOLDEN_ELIMINATIONS = {"formcheck_degenerate.json": 5, "formcheck_kernel_poly.json": 7}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ELIMINATIONS)
 def test_degenerate_golden_eliminations(name, monkeypatch):
-    """A `semistable` check of a degenerate form: its rank, its kernel pass, and 5 to
-    confirm the kernel flag (its basis and 3 maximal minors, then its basis again)."""
+    """A `semistable` check of a degenerate form: its rank, its kernel pass, then to
+    confirm the kernel flag its basis, its maximal minors on its nonzero rows and its
+    basis again.  The kernel <e2, e3> of the first form has a zero row, so one minor;
+    the second kernel has none, so all 3."""
     from semistab.jsonio import decode_form_bundle
 
     golden = Path(__file__).parent / "golden" / name
     fb = decode_form_bundle(json.loads(golden.read_text())["payload"]["form"])
     taken = _count_echelons(monkeypatch)
     assert not semistable_form(fb).semistable
-    assert len(taken) == 7
+    assert len(taken) == GOLDEN_ELIMINATIONS[name]
 
 
 def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
@@ -789,6 +823,52 @@ def test_flag_ranks_match_accumulated_oracle(case):
         assert all(isinstance(rank, int) for rank in expected)
     else:
         assert profiled == expected
+
+
+@st.composite
+def steps_with_zero_rows(draw):
+    """A split model with a nonzero degree, and columns that vanish off a drawn set of
+    rows: coordinate columns, sparse polynomial columns, or dense ones (every row)."""
+    r = draw(st.integers(2, 8))
+    head = draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
+    assume(any(head))
+    model = SplitSheafModel((*head, -sum(head)))
+    kind = draw(st.sampled_from(["coordinate", "sparse", "dense"]))
+    if kind == "dense":
+        support = list(range(r))
+    else:
+        support = sorted(draw(st.sets(st.integers(0, r - 1), min_size=1, max_size=r - 1)))
+    k = draw(st.integers(1, min(len(support), r - 1)))
+    if kind == "coordinate":
+        hits = draw(st.permutations(support))[:k]
+        columns = tuple(tuple(ONE if a == b else ZERO for a in range(r)) for b in hits)
+    else:
+        entry = {a: polys(2) if a in support else st.just(ZERO) for a in range(r)}
+        columns = tuple(tuple(draw(entry[a]) for a in range(r)) for _ in range(k))
+        assume(any(not p.is_zero() for column in columns for p in column))
+    return model, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps_with_zero_rows())
+def test_zero_rows_change_no_invariant(case):
+    """The saturation degree from the minors on the nonzero rows equals the one from all
+    C(r, k) minors, for one step and for each step of the flag of its basis prefixes."""
+    import semistab._polyalg as polyalg
+
+    model, columns = case
+    r = model.rank
+    step = FlagStep(columns, Fraction(1))
+    assert saturation_degree(model, step) == oracle_saturation_degree(model, columns)
+    pivots = polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
+    basis = [columns[c] for c in pivots]
+    flag = SubsheafFlag(tuple(FlagStep(basis[:j], Fraction(1)) for j in range(1, len(basis) + 1)))
+    lowest = model.summand_degrees.index(min(model.summand_degrees))
+    rows = [[int(a == b == lowest) for b in range(r)] for a in range(r)]
+    members = filtration_data_of(constant_form(model, Symmetry.SYMMETRIC, rows), flag).members
+    assert [(m.rank, m.degree) for m in members] == [
+        (j, oracle_saturation_degree(model, basis[:j])) for j in range(1, len(basis) + 1)
+    ]
 
 
 class TestKernelDestabilizer:

@@ -192,9 +192,13 @@ FORM_CHECK = ("formcheck_symplectic.json", ["form-check"])
 TORUS = ("destabilize_single.json", ["destabilize"])
 
 NO_FLAGS = "flags must not be empty; leave the key out for the exhaustive walk"
+# Twelve dense constant columns at r = 24: C(24, 12) maximal minors, none of them zero.
+OVER_THE_MINOR_CAP = [
+    [encode_poly(p) for p in column] for column in dense_columns(random.Random(24), 24, 12, 0)
+]
 MINOR_CAP_MESSAGE = (
     "a rank-12 step at rank 24 has 2704156 maximal minors; "
-    "C(r, k) * (k^3 + 30) exceeds the cap 2000000"
+    "C(r, k) * 37980 (a minor of degree-0 columns) exceeds the cap 2000000"
 )
 
 # Each shape used to exit 0 with a verdict, or exit 2 with a Python repr
@@ -441,27 +445,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
     def test_supplied_step_above_the_minor_cap(self, check, tmp_path):
-        """The identity form at r = 24 with one step of 12 coordinate columns.
+        """The identity form at r = 24 with one step of 12 dense constant columns.
 
         Its saturation degree would take all C(24, 12) = 2,704,156 maximal
         minors: the run was still going after several seconds.
         """
-        document = _identity_form_document(24, check, [_unit_generators(24, range(1, 13))])
+        document = _identity_form_document(24, check, [OVER_THE_MINOR_CAP])
         result = _run_document(["form-check"], document, tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {MINOR_CAP_MESSAGE}\n"
 
     @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
+    def test_coordinate_step_under_the_minor_cap(self, check):
+        """Twelve coordinate columns at r = 24 were refused for their C(24, 12) maximal
+        minors; all but one vanish, so the step is scored.  On degrees (1^12, -1^12), with
+        the hyperbolic form, it is isotropic of degree 12: mu = 0 and M = L < 0."""
+        r = 24
+        entries = [[["1"] if abs(a - b) == 12 else [] for b in range(r)] for a in range(r)]
+        form = {"degrees": [1] * 12 + [-1] * 12, "symmetry": "symmetric", "entries": entries}
+        flag = {"steps": [{"alpha": "1", "generators": _unit_generators(r, range(1, 13))}]}
+        payload = {"form": form, "check": check, "flags": [flag]}
+        document = {"schema_version": 1, "kind": "form_bundle", "payload": payload}
+        start = time.perf_counter()
+        code, out, err = _run_in_process(["form-check"], json.dumps(document))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"verdict": "unstable", "witness": flag}
+
+    @pytest.mark.parametrize("check", ["semistable", "ramanathan"])
     @pytest.mark.parametrize(
         "steps, message",
         [
             (
-                [_unit_generators(24, range(1, 13)), _unit_generators(24, [1])],
+                [OVER_THE_MINOR_CAP, _unit_generators(24, [1])],
                 MINOR_CAP_MESSAGE,
             ),
             (
-                [[[["1"]] * 23], _unit_generators(24, range(1, 13))],
+                [[[["1"]] * 23], OVER_THE_MINOR_CAP],
                 "generator column has length 23, expected 24",
             ),
         ],

@@ -17,7 +17,7 @@ from semistab import (
     torus_destabilize,
     weighted_compositions,
 )
-from semistab.errors import DimensionMismatch, TooLarge, TrivialSubgroup
+from semistab.errors import DimensionMismatch, OutOfRange, TooLarge, TrivialSubgroup
 from semistab.feasibility import feasible_point
 from semistab.hilbert_mumford import sum_zero_grid
 
@@ -26,6 +26,7 @@ from conftest import (
     mu_flag_invariance_check,
     oracle_fallback_system,
     oracle_feasible_point,
+    oracle_dd_module_dim,
     oracle_hull_system,
     random_rep,
 )
@@ -320,6 +321,30 @@ class TestDimensions:
             for v in range(1, 4):
                 assert dd_module_dim(1, u, v) == comb(u + v - 1, u)
 
+    def test_dd_module_matches_the_enumeration(self):
+        """D^u(V^{+v}) has the dimension of D^u of a rank-rv space: the sum over the
+        compositions of u into v parts agrees on every small case."""
+        cases = [(r, u, v) for r in range(1, 7) for u in range(9) for v in range(1, 6)]
+        assert len(cases) == 270
+        for r, u, v in cases:
+            assert dd_module_dim(r, u, v) == oracle_dd_module_dim(r, u, v)
+
+    def test_dd_module_closed_form(self):
+        """The enumeration of C(u + v - 1, v - 1) compositions grew exponentially; (3, 12, 8)
+        took 0.09 s.  Much larger cases are now one binomial."""
+        assert dd_module_dim(3, 12, 8) == comb(35, 12)
+        assert dd_module_dim(5, 200, 100) == comb(699, 200)
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_dd_module_negative_u_rejected(self, v):
+        """u < 0 returned 0 for v >= 2 and raised only for v = 1."""
+        with pytest.raises(DimensionMismatch, match="^need r >= 1 and u >= 0$"):
+            dd_module_dim(2, -1, v)
+
+    def test_dd_module_needs_a_summand(self):
+        with pytest.raises(DimensionMismatch, match="^need v >= 1$"):
+            dd_module_dim(2, 1, 0)
+
     def test_weighted_compositions(self):
         assert weighted_compositions(1) == [(1,)]
         assert sorted(weighted_compositions(2)) == [(0, 1), (2, 0)]
@@ -341,3 +366,9 @@ class TestDimensions:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             weighted_compositions(5)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_s_below_one_out_of_range(self, s):
+        """s < 1 was reported as `TooLarge`; the message is unchanged."""
+        with pytest.raises(OutOfRange, match="^s must be at least 1$"):
+            weighted_compositions(s)
