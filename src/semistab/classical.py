@@ -200,9 +200,9 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
     adds none exactly when it lies in the span.
 
     Priced before it runs and refused over `MINOR_WORK_CAP`: the echelon as if of full
-    rank, then each maximal minor of the rank-k basis on its nonzero rows (the others
-    vanish) at the larger of a k x k elimination and the content gcd, Euclid on
-    primitive parts of minors of degree up to k d: about k (k d)^3 / 8 units.
+    rank, then each maximal minor on the basis's nonzero rows, unless it is the only one,
+    at the larger of a k x k elimination and the content gcd, Euclid on primitive parts
+    of minors of degree up to k d: about k (k d)^3 / 8 units.
     """
     columns = (*step.columns, *below)
     for column in columns:
@@ -216,8 +216,8 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
     pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in rows])
     basis = [columns[c] for c in pivots if c < m]
     k = len(basis)
-    if k:
-        minors = comb(len(_nonzero_rows(basis, r)), k)
+    minors = comb(len(_nonzero_rows(basis, r)), k)
+    if minors > 1:
         d = max(p.degree for column in basis for p in column)
         price = max(_elimination_price(k, k, d), k * (k * d) ** 3 // 8)
         if minors * price > MINOR_WORK_CAP:
@@ -229,13 +229,14 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
 
 
 def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> int:
-    """Saturation degree of the span of a nonempty basis: with the content g
-    of the maximal minors removed, the minimum over row subsets S of (sum of
-    summand degrees over S) minus deg of the reduced minor.  A minor on a zero
-    row vanishes, so only the nonzero rows are taken."""
+    """Saturation degree of the span of a nonempty basis: with the content g of the
+    maximal minors removed, the minimum over row subsets S of (sum of summand degrees
+    over S) minus deg of the reduced minor.  A minor on a zero row vanishes, so only the
+    nonzero rows are taken; on exactly k of them the one minor is its own content."""
     rows = _nonzero_rows(basis, model.rank)
-    matrix = [[column[a] for column in basis] for a in rows]
-    minors = _polyalg.maximal_minors(matrix, len(basis))
+    if len(rows) == len(basis):
+        return sum(model.summand_degrees[a] for a in rows)
+    minors = _polyalg.maximal_minors([[column[a] for column in basis] for a in rows], len(basis))
     content = _polyalg.poly_content(list(minors.values()))
     return min(
         sum(model.summand_degrees[rows[i]] for i in subset) - (minor.degree - content.degree)

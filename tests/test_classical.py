@@ -160,9 +160,9 @@ class TestSaturationDegree:
         assert time.perf_counter() - start < 1
         assert saturation_degree(model, coordinate_flag([[1, 2, 3]], r=24).steps[0]) == 0
 
-    def test_coordinate_step_takes_one_minor(self, monkeypatch):
+    def test_coordinate_step_takes_no_minor(self, monkeypatch):
         """Twelve coordinate columns at r = 24 were refused for their C(24, 12) minors; on
-        their twelve nonzero rows they have one."""
+        their twelve nonzero rows the one minor is its own content, and is not taken."""
         import semistab._polyalg as polyalg
 
         taken = []
@@ -176,7 +176,14 @@ class TestSaturationDegree:
         start = time.perf_counter()
         assert saturation_degree(model, coordinate_flag([range(1, 13)], r=24).steps[0]) == 12
         assert time.perf_counter() - start < 1
-        assert taken == [12]
+        assert taken == []
+
+    def test_gcd_priced_minor_on_its_own_rows_not_taken(self):
+        """A column of degree 405 on one row of two: its one minor would cost 8,303,765
+        units for the gcd, so it was refused; it is its own content, so it is not taken."""
+        column = (UniPoly.of(*([1] + [0] * 404 + [1])), UniPoly.zero())
+        model = SplitSheafModel((3, -3))
+        assert saturation_degree(model, FlagStep((column,), Fraction(1))) == 3
 
     def test_dense_polynomial_minors_priced(self, monkeypatch):
         """3,003 rank-8 minors at r = 14 of dense degree-1 columns took about a minute."""
@@ -636,7 +643,9 @@ def test_exhaustive_walk_scores_only_the_witness(monkeypatch):
 
 
 def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
-    """Only `filtration_data_of` takes maximal minors, once per step of the flag it scores."""
+    """Only `filtration_data_of` takes maximal minors, once per step of the flag it scores.
+    The coordinate flags are moved by a dense unimodular g, so that no basis lies on
+    exactly its rank's number of rows (those take no minor)."""
     import semistab._polyalg as polyalg
 
     taken = []
@@ -646,7 +655,17 @@ def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
         return minors(*args)
 
     monkeypatch.setattr(polyalg, "maximal_minors", counted)
-    flags = oracle_coordinate_flags(3)
+    g = [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+
+    def moved(column):
+        return tuple(
+            sum((UniPoly.of(g[a][b]) * column[b] for b in range(3)), UniPoly.zero()) for a in range(3)
+        )
+
+    flags = [
+        SubsheafFlag(tuple(FlagStep(tuple(map(moved, s.columns)), s.alpha) for s in flag.steps))
+        for flag in oracle_coordinate_flags(3)
+    ]
     steps = sum(flag.step_count for flag in flags)
     assert semistable_form(identity_form(3), flags).semistable
     assert len(taken) == steps
@@ -716,15 +735,15 @@ def test_walk_eliminates_each_supplied_step_once(monkeypatch):
             assert calls == {"independent_columns": steps, "generic_rank": rank}
 
 
-GOLDEN_ELIMINATIONS = {"formcheck_degenerate.json": 5, "formcheck_kernel_poly.json": 7}
+GOLDEN_ELIMINATIONS = {"formcheck_degenerate.json": 4, "formcheck_kernel_poly.json": 7}
 
 
 @pytest.mark.parametrize("name", GOLDEN_ELIMINATIONS)
 def test_degenerate_golden_eliminations(name, monkeypatch):
     """A `semistable` check of a degenerate form: its rank, its kernel pass, then to
     confirm the kernel flag its basis, its maximal minors on its nonzero rows and its
-    basis again.  The kernel <e2, e3> of the first form has a zero row, so one minor;
-    the second kernel has none, so all 3."""
+    basis again.  The kernel <e2, e3> of the first form lies on two rows, so no minor;
+    the second kernel has no zero row, so all 3."""
     from semistab.jsonio import decode_form_bundle
 
     golden = Path(__file__).parent / "golden" / name
