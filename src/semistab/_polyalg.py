@@ -1,10 +1,10 @@
 """Exact linear algebra over Q[x] and Q(x), written on `UniPoly`.
 
-The classical module needs generic ranks, determinants, maximal minors,
-kernel bases over Q(x) and the content of a family of minors.  All of
-them come from one elimination, `_echelon`: fraction-free row reduction
-with row swaps (Bareiss, Math. Comp. 22, 1968).  Every division in it is
-exact, and its remainder is checked to be zero.
+The classical module needs generic ranks, determinants, kernel bases
+over Q(x) and the content of a family of minors.  All of them come from
+one elimination, `_echelon`: fraction-free row reduction with row swaps
+(Bareiss, Math. Comp. 22, 1968).  Every division in it is exact, and its
+remainder is checked to be zero.
 
 - The pivot columns are the greedy independent columns over Q(x), so the
   rank is the number of pivots.
@@ -24,7 +24,6 @@ per line however it was found.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .errors import InternalError
@@ -88,17 +87,6 @@ def determinant(matrix: PolyMatrix) -> UniPoly:
     rows, _, sign = _echelon(matrix)
     last = rows[-1][-1] if n else _ONE  # the last row is zero when singular
     return last if sign > 0 else -last
-
-
-def maximal_minors(matrix: PolyMatrix, size: int) -> dict[tuple[int, ...], UniPoly]:
-    """All size x size minors, keyed by the chosen row index set (0-based)."""
-    cols = len(matrix[0]) if matrix else 0
-    if cols != size:
-        raise ValueError("minor size must equal the column count")
-    return {
-        subset: determinant([matrix[a] for a in subset])
-        for subset in combinations(range(len(matrix)), size)
-    }
 
 
 def generic_kernel(matrix: PolyMatrix) -> list[list[UniPoly]]:

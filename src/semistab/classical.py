@@ -124,11 +124,13 @@ class FormBundle:
         r = self.model.rank
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise MalformedFlag(f"form matrix must be {r}x{r}")
-        sign = 1 if self.symmetry is Symmetry.SYMMETRIC else -1
+        # Upper triangle only: each lower entry is its upper mirror up to sign, with the
+        # same degree bound; a nonzero antisymmetric diagonal entry fails the mirror check.
+        antisymmetric = self.symmetry is Symmetry.ANTISYMMETRIC
         degrees = self.model.summand_degrees
         nontrivial = False
         for k in range(r):
-            for l in range(r):
+            for l in range(k, r):
                 entry = self.entries[k][l]
                 bound = -(degrees[k] + degrees[l])
                 if not entry.is_zero():
@@ -138,11 +140,8 @@ class FormBundle:
                             f"entry ({k + 1},{l + 1}) has degree {entry.degree}, "
                             f"allowed at most {bound}"
                         )
-                mirrored = self.entries[l][k].scale(sign)
-                if entry != mirrored:
+                if self.entries[l][k] != (-entry if antisymmetric else entry):
                     raise MalformedFlag("matrix does not respect the symmetry type")
-            if sign == -1 and not self.entries[k][k].is_zero():
-                raise MalformedFlag("antisymmetric form must have zero diagonal")
         if not nontrivial:
             raise MalformedFlag("form must be nontrivial")
 
@@ -204,10 +203,10 @@ def _basis(r: int, step: FlagStep, below: Sequence = ()) -> tuple[list[tuple[Uni
     at the larger of a k x k elimination and the content gcd, Euclid on primitive parts
     of minors of degree up to k d: about k (k d)^3 / 8 units.
     """
-    columns = (*step.columns, *below)
-    for column in columns:
+    for column in step.columns:
         if len(column) != r:
             raise MalformedFlag(f"generator column has length {len(column)}, expected {r}")
+    columns = (*step.columns, *below)
     m = len(step.columns)
     d = max((p.degree for column in columns for p in column), default=-1)
     rows = _nonzero_rows(columns, r)
@@ -236,10 +235,13 @@ def _invariants(model: SplitSheafModel, basis: Sequence[Sequence[UniPoly]]) -> i
     rows = _nonzero_rows(basis, model.rank)
     if len(rows) == len(basis):
         return sum(model.summand_degrees[a] for a in rows)
-    minors = _polyalg.maximal_minors([[column[a] for column in basis] for a in rows], len(basis))
+    minors = {
+        subset: _polyalg.determinant([[column[a] for column in basis] for a in subset])
+        for subset in combinations(rows, len(basis))
+    }
     content = _polyalg.poly_content(list(minors.values()))
     return min(
-        sum(model.summand_degrees[rows[i]] for i in subset) - (minor.degree - content.degree)
+        sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)
         for subset, minor in minors.items()
         if not minor.is_zero()
     )

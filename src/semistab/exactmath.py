@@ -79,7 +79,7 @@ class UniPoly:
 
     @staticmethod
     def of(*coefficients: RationalLike) -> "UniPoly":
-        return UniPoly(tuple(rational(c) for c in coefficients))
+        return UniPoly(coefficients)
 
     @staticmethod
     def zero() -> "UniPoly":

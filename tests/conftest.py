@@ -22,6 +22,7 @@ from semistab import (
     Order,
     RepPoint,
     SubsheafFlag,
+    Symmetry,
     TorusWeightRep,
     UniPoly,
     Verdict,
@@ -422,6 +423,36 @@ def oracle_flag_ranks(model, flag) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def oracle_form_bundle(model, symmetry, entries) -> None:
+    """`FormBundle` validation as first written: every entry (k, l) in row order, first
+    its degree bound, then against its mirror times the sign, the antisymmetric diagonal
+    after each row, then nontriviality.  Raises `MalformedFlag` with the library's
+    messages, or returns None when the form is accepted."""
+    r = model.rank
+    if len(entries) != r or any(len(row) != r for row in entries):
+        raise MalformedFlag(f"form matrix must be {r}x{r}")
+    sign = 1 if symmetry is Symmetry.SYMMETRIC else -1
+    degrees = model.summand_degrees
+    nontrivial = False
+    for k in range(r):
+        for l in range(r):
+            entry = entries[k][l]
+            bound = -(degrees[k] + degrees[l])
+            if not entry.is_zero():
+                nontrivial = True
+                if entry.degree > bound:
+                    raise MalformedFlag(
+                        f"entry ({k + 1},{l + 1}) has degree {entry.degree}, "
+                        f"allowed at most {bound}"
+                    )
+            if entry != entries[l][k].scale(sign):
+                raise MalformedFlag("matrix does not respect the symmetry type")
+        if sign == -1 and not entries[k][k].is_zero():
+            raise MalformedFlag("antisymmetric form must have zero diagonal")
+    if not nontrivial:
+        raise MalformedFlag("form must be nontrivial")
+
+
 def oracle_saturation_degree(model, columns) -> int:
     """`saturation_degree` as first written: the greedy basis of the columns over all r rows,
     then every C(r, k) maximal minor of it, zero rows included.  With the content g of the
@@ -431,7 +462,10 @@ def oracle_saturation_degree(model, columns) -> int:
     pivots = _polyalg.independent_columns([[column[a] for column in columns] for a in range(r)])
     basis = [columns[c] for c in pivots]
     matrix = [[column[a] for column in basis] for a in range(r)]
-    minors = _polyalg.maximal_minors(matrix, len(basis))
+    minors = {
+        subset: _polyalg.determinant([matrix[a] for a in subset])
+        for subset in itertools.combinations(range(r), len(basis))
+    }
     content = _polyalg.poly_content(list(minors.values()))
     return min(
         sum(model.summand_degrees[a] for a in subset) - (minor.degree - content.degree)

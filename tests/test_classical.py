@@ -7,6 +7,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ from conftest import (
     oracle_coordinate_chains,
     oracle_coordinate_flags,
     oracle_flag_ranks,
+    oracle_form_bundle,
     oracle_gather_flags,
     oracle_ramanathan_semistable,
     oracle_saturation_degree,
@@ -116,25 +118,72 @@ class TestSplitModel:
             SplitSheafModel(degrees)
 
 
+ASYMMETRIC = "^matrix does not respect the symmetry type$"
+
+
 class TestFormBundle:
     def test_degree_bound(self):
         model = SplitSheafModel((1, -1))
-        with pytest.raises(MalformedFlag):
+        with pytest.raises(MalformedFlag, match=r"^entry \(1,1\) has degree 0, allowed at most -2$"):
             FormBundle(model, Symmetry.SYMMETRIC, ((ONE, ZERO), (ZERO, ZERO)))
 
     def test_symmetry_enforced(self):
-        with pytest.raises(MalformedFlag):
+        with pytest.raises(MalformedFlag, match=ASYMMETRIC):
             FormBundle(
                 TRIVIAL_2, Symmetry.SYMMETRIC, ((ZERO, ONE), (ONE.scale(-1), ZERO))
             )
-        with pytest.raises(MalformedFlag):
+        with pytest.raises(MalformedFlag, match=ASYMMETRIC):
             FormBundle(
                 TRIVIAL_2, Symmetry.ANTISYMMETRIC, ((ONE, ZERO), (ZERO, ONE))
             )
 
+    def test_antisymmetric_diagonal_is_not_its_own_negative(self):
+        """A nonzero diagonal entry of an antisymmetric form fails the mirror check: it is
+        not its own negative."""
+        entries = ((ZERO, ONE, ZERO), (ONE.scale(-1), X, ZERO), (ZERO, ZERO, ZERO))
+        with pytest.raises(MalformedFlag, match=ASYMMETRIC):
+            FormBundle(SplitSheafModel((0, -1, 1)), Symmetry.ANTISYMMETRIC, entries)
+
     def test_nontrivial_required(self):
-        with pytest.raises(MalformedFlag):
+        with pytest.raises(MalformedFlag, match="^form must be nontrivial$"):
             FormBundle(TRIVIAL_2, Symmetry.SYMMETRIC, ((ZERO, ZERO), (ZERO, ZERO)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_validation_matches_the_first_loop(self, data):
+        """Accepted exactly when `oracle_form_bundle`, the loop over every entry pair,
+        accepts; otherwise the same error with the same message.  The forms are symmetric
+        or antisymmetric, with entries up to `excess` degrees over their bound, and then
+        up to two entries are redrawn."""
+        r = data.draw(st.integers(1, 5))
+        degrees = data.draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
+        model = SplitSheafModel((*degrees, -sum(degrees)))
+        excess = data.draw(st.sampled_from([0, 0, 0, 1, 3]))
+
+        def poly(k, l):
+            bound = -(model.summand_degrees[k] + model.summand_degrees[l])
+            coefficients = st.lists(st.integers(-2, 2), max_size=max(0, bound + 1 + excess))
+            return UniPoly.of(*data.draw(coefficients))
+
+        symmetry = data.draw(st.sampled_from(Symmetry))
+        sign = 1 if symmetry is Symmetry.SYMMETRIC else -1
+        entries = [[ZERO] * r for _ in range(r)]
+        for k in range(r):
+            for l in range(k + (sign < 0), r):
+                entries[k][l] = poly(k, l)
+                entries[l][k] = entries[k][l].scale(sign)
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            k, l = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+            entries[k][l] = poly(k, l)
+        entries = tuple(map(tuple, entries))
+        try:
+            oracle_form_bundle(model, symmetry, entries)
+        except MalformedFlag as expected:
+            with pytest.raises(MalformedFlag) as found:
+                FormBundle(model, symmetry, entries)
+            assert str(found.value) == str(expected)
+        else:
+            assert FormBundle(model, symmetry, entries).entries == entries
 
 
 class TestSaturationDegree:
@@ -167,11 +216,11 @@ class TestSaturationDegree:
 
         taken = []
 
-        def counted(matrix, size, minors=polyalg.maximal_minors):
+        def counted(matrix, determinant=polyalg.determinant):
             taken.append(len(matrix))
-            return minors(matrix, size)
+            return determinant(matrix)
 
-        monkeypatch.setattr(polyalg, "maximal_minors", counted)
+        monkeypatch.setattr(polyalg, "determinant", counted)
         model = SplitSheafModel((1,) * 12 + (-1,) * 12)
         start = time.perf_counter()
         assert saturation_degree(model, coordinate_flag([range(1, 13)], r=24).steps[0]) == 12
@@ -192,7 +241,7 @@ class TestSaturationDegree:
         def no_minors(*args):
             raise AssertionError("a minor was taken")
 
-        monkeypatch.setattr(polyalg, "maximal_minors", no_minors)
+        monkeypatch.setattr(polyalg, "determinant", no_minors)
         step = FlagStep(dense_columns(random.Random(14), 14, 8, 1), Fraction(1))
         with pytest.raises(TooLarge, match=r"has 3003 maximal minors; C\(r, k\) \* 54630 \("):
             saturation_degree(SplitSheafModel((0,) * 14), step)
@@ -643,18 +692,19 @@ def test_exhaustive_walk_scores_only_the_witness(monkeypatch):
 
 
 def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
-    """Only `filtration_data_of` takes maximal minors, once per step of the flag it scores.
-    The coordinate flags are moved by a dense unimodular g, so that no basis lies on
-    exactly its rank's number of rows (those take no minor)."""
+    """Only `filtration_data_of` takes maximal minors, once per step of the flag it scores:
+    C(n_b, k) determinants for a rank-k basis on n_b nonzero rows.  The coordinate flags
+    are moved by a dense unimodular g, so that every basis lies on all n_b = 3 rows and
+    none on exactly k of them (those take no minor)."""
     import semistab._polyalg as polyalg
 
     taken = []
 
-    def counted(*args, minors=polyalg.maximal_minors):
-        taken.append(args)
-        return minors(*args)
+    def counted(matrix, determinant=polyalg.determinant):
+        taken.append(matrix)
+        return determinant(matrix)
 
-    monkeypatch.setattr(polyalg, "maximal_minors", counted)
+    monkeypatch.setattr(polyalg, "determinant", counted)
     g = [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
 
     def moved(column):
@@ -666,16 +716,16 @@ def test_minors_taken_once_per_step_of_each_scored_flag(monkeypatch):
         SubsheafFlag(tuple(FlagStep(tuple(map(moved, s.columns)), s.alpha) for s in flag.steps))
         for flag in oracle_coordinate_flags(3)
     ]
-    steps = sum(flag.step_count for flag in flags)
+    minors = sum(comb(3, len(step.columns)) for flag in flags for step in flag.steps)
     assert semistable_form(identity_form(3), flags).semistable
-    assert len(taken) == steps
+    assert len(taken) == minors
     degenerate = constant_form(TRIVIAL_3, Symmetry.SYMMETRIC, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert ramanathan_semistable(degenerate, flags).semistable
     # The kernel flag never counts for this check, so only the supplied flags are scored.
-    assert len(taken) == 2 * steps
+    assert len(taken) == 2 * minors
     for flag in flags:
         form_profile(degenerate, flag)
-    assert len(taken) == 2 * steps
+    assert len(taken) == 2 * minors
 
 
 def _count_echelons(monkeypatch) -> list:

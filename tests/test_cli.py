@@ -268,6 +268,19 @@ REJECTED_SHAPES = {
         _setter(["form"], "symmetry", "skew"),
         "symmetry must be one of ['symmetric', 'antisymmetric'], got 'skew'",
     ),
+    "alpha_zero": (
+        *FORM_CHECK,
+        _setter([], "flags", [{"steps": [{"generators": [[["1"], []]], "alpha": "0"}]}]),
+        "alpha must be positive",
+    ),
+    "dualize_column_too_long": (
+        *DUALIZE,
+        _setter(["flag", "steps", 0], "generators", [[["1"], [], []]]),
+        "generator column has the wrong length",
+    ),
+    "lambda_not_sum_zero": (
+        "mu_torus.json", MU_TORUS, _setter([], "lambda", [1, 1]), "weights must sum to zero: (1, 1)"
+    ),
 }
 
 

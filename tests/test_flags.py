@@ -9,6 +9,7 @@ import sympy
 from semistab import (
     OneParamSubgroup,
     WeightedFlag,
+    WeightVector,
     integral_subgroup_of,
     parabolic_member,
     standard_weight_vector,
@@ -17,6 +18,7 @@ from semistab import (
     weighted_flag_of,
 )
 from semistab.errors import (
+    DimensionMismatch,
     MalformedFiltration,
     OutOfRange,
     SingularMatrix,
@@ -97,6 +99,13 @@ class TestWeightVectorOfFiltration:
         with pytest.raises(MalformedFiltration):
             weight_vector_of_filtration([3], [1], 3)
 
+    def test_weight_vector_checked(self):
+        with pytest.raises(MalformedFiltration, match="^entries must be nondecreasing$"):
+            WeightVector(frac(1, 0, -1))
+        with pytest.raises(MalformedFiltration, match="^entries must sum to zero$"):
+            WeightVector(frac(0, 1))
+        assert WeightVector(("-1/2", 0, "1/2")).entries == frac("-1/2", 0, "1/2")
+
     def test_round_trip_alphas(self):
         """Gap extraction at the member ranks recovers alpha exactly."""
         rng = random.Random(20240815)
@@ -171,6 +180,20 @@ class TestParabolic:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             parabolic_member(OneParamSubgroup((-1, 1)), [[1, 1], [1, 1]])
+
+    def test_matrix_size_checked(self):
+        lam = OneParamSubgroup((-1, 0, 1))
+        for g in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+            with pytest.raises(DimensionMismatch, match=r"^matrix must be 3x3$"):
+                parabolic_member(lam, g)
+
+    def test_entry_above_the_grading_not_unipotent(self):
+        """An entry (a, b) with w(a) > w(b) makes the limit diverge."""
+        lam = OneParamSubgroup((1, -1))
+        g = [[1, 1], [0, 1]]
+        assert not parabolic_member(lam, g)
+        assert not unipotent_radical_member(lam, g)
+        assert unipotent_radical_member(lam, [[1, 0], [1, 1]])
 
     def test_singular_exactly_when_sympy_determinant_vanishes(self):
         rng = random.Random(11)

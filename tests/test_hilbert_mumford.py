@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from semistab import (
+    HullCertificate,
     OneParamSubgroup,
     RepPoint,
     TorusWeightRep,
@@ -134,6 +135,19 @@ class TestTorusDestabilize:
         verdict = torus_destabilize(STANDARD, FULL)
         assert verdict.semistable
         assert verdict.certificate.verify(STANDARD, FULL)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(("e1", "1/2"), ("e3", "1/2")), (("e1", "3/2"), ("e2", "-1/2"))],
+        ids=["foreign-label", "negative-coefficient"],
+    )
+    def test_certificate_refused(self, coefficients):
+        """Each sums to 1, but names a label outside the support or a negative weight."""
+        coefficients = tuple((label, Fraction(c)) for label, c in coefficients)
+        assert not HullCertificate(coefficients, Fraction(1, 2)).verify(STANDARD, FULL)
+        assert HullCertificate(
+            (("e1", Fraction(1, 2)), ("e2", Fraction(1, 2))), Fraction(1, 2)
+        ).verify(STANDARD, FULL)
 
     def test_single_support_unstable(self):
         verdict = torus_destabilize(STANDARD, E1_ONLY)

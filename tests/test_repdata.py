@@ -31,6 +31,8 @@ class TestDynkinType:
             DynkinType("E8", 7)
         with pytest.raises(InvalidRank):
             DynkinType("B", 1)
+        with pytest.raises(InvalidRank, match="^unknown family 'X'$"):
+            DynkinType("X", 3)
 
     @pytest.mark.parametrize("text", ["A\u0663", "A\u00b2", "D\uff14"])
     def test_rank_needs_ascii_digits(self, text):

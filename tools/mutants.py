@@ -70,8 +70,8 @@ MUTANTS = [
     ),
     (
         CLASSICAL,
-        "sum(model.summand_degrees[rows[i]] for i in subset)",
-        "sum(model.summand_degrees[i] for i in subset)",
+        "for subset in combinations(rows, len(basis))",
+        "for subset in combinations(range(len(rows)), len(basis))",
     ),
     (CLASSICAL, "rows = _nonzero_rows(columns, r)", "rows = _nonzero_rows(step.columns, r)"),
     (
@@ -80,6 +80,16 @@ MUTANTS = [
         "return sum(model.summand_degrees[a] for a in range(len(rows)))",
     ),
     (CLASSICAL, "if minors > 1:", "if minors > 0:"),
+    (CLASSICAL, "for l in range(k, r):", "for l in range(k + 1, r):"),
+    (CLASSICAL, "(-entry if antisymmetric else entry)", "(entry if antisymmetric else -entry)"),
+    # Each error path below is reachable from the command line.
+    (CLASSICAL, 'raise MalformedFlag("alpha must be positive")', "pass"),
+    (CLASSICAL, 'raise NotCoordinateFlag("generator column has the wrong length")', "pass"),
+    (
+        "src/semistab/flags.py",
+        'raise MalformedFiltration(f"weights must sum to zero: {weights}")',
+        "pass",
+    ),
 ]
 
 
