@@ -21,15 +21,10 @@ one nonzero maximal minor is 1).
     of the sorted pairs (b(k), b(l)), (k, l) in supp Phi, and as the
     block weights increase, its minimal weight sum is taken on one of
     them: mu = -min over (k, l) in supp Phi of (w_k + w_l).
-  * M = L.  In genus zero with total degree zero, P(n) = r (n + 1) and
-    step j has P_j(n) = |S_j| (n + 1) + deg S_j, so its term
-    |S_j| P - r P_j of M is the constant -r deg S_j.  Hence
-    M = L = -r sum_j sum_{k in S_j} d_k.
-These integers are the signs the two checks feed `first_violation`: mu,
-or M where mu = 0, for `semistable_form`; 1, or L where mu = 0, for
-`ramanathan_semistable`.  Only the first violating chain becomes a
-`SubsheafFlag`, and `filtration_data_of` and `form_profile` score it
-again, so the generic code confirms every unstable verdict.
+  * L = -r sum_j sum_{k in S_j} d_k.
+Only the first violating chain becomes a `SubsheafFlag`, and
+`filtration_data_of` and `form_profile` score it again, so the generic
+code confirms every unstable verdict.
 
 The kernel flag.  A degenerate form (det Phi = 0) has a kernel flag K.
 Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
@@ -53,14 +48,13 @@ from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _polyalg
 from .dispo import (
     FiltrationData,
     FiltrationMember,
     NonvanishingProfile,
-    asymptotic_sign,
     first_violation,
     functional_L,
     mu_profile,
@@ -446,68 +440,63 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
     return score
 
 
-Sign = Callable[[FiltrationData, NonvanishingProfile], Fraction]
+def _sign(mu: Fraction, l: Fraction) -> Fraction:
+    """Ramanathan's sign: L where mu vanishes; elsewhere nothing is required, so 1."""
+    return Fraction(1) if mu else l
 
 
-class _Check(NamedTuple):
-    """One check: its sign on a scored flag, the same sign from a chain's
-    integers (mu, M = L), and whether a kernel flag can be its witness."""
-
-    sign: Sign
-    chain_sign: Callable[[int, int], int]
-    kernel_counts: bool
+def _score(fb: FormBundle, flag: SubsheafFlag, profile=_profile) -> tuple[Fraction, Fraction]:
+    """mu and L of a flag, its data (and so the flag rule) scored before its profile."""
+    data = filtration_data_of(fb, flag)
+    return mu_profile(data, profile(fb, flag)), functional_L(data)
 
 
-def _confirmed(fb: FormBundle, flag: SubsheafFlag, sign: Sign, expected: int) -> FormVerdict:
-    """The unstable verdict for `flag`, once the generic scoring gives it the sign `expected`."""
-    found = sign(filtration_data_of(fb, flag), form_profile(fb, flag))
-    if found != expected:
-        raise InternalError(f"witness signs disagree: {found} scored, {expected} expected")
+def _confirmed(fb: FormBundle, flag: SubsheafFlag, mu: int, l: Optional[int] = None) -> FormVerdict:
+    """The unstable verdict for `flag`, once scored generically as `mu` and, unless None, `l`."""
+    found = _score(fb, flag, form_profile)
+    if found[0] != mu or (l is not None and found[1] != l):
+        raise InternalError(f"witness scores disagree: {found} scored, {(mu, l)} expected")
     return FormVerdict(False, flag)
 
 
 def _walk(
-    fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]], check: _Check, strict: bool
+    fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]], kernel_rule: bool, strict: bool
 ) -> FormVerdict:
-    """The kernel rule, then the dispo violation rule over the supplied flags, or over
-    every coordinate chain when `flags` is None."""
+    """The kernel rule if `kernel_rule`, then Ramanathan's sign under the dispo violation
+    rule over the supplied flags, or over every coordinate chain when `flags` is None."""
     if any(not flag.steps for flag in flags or ()):
         raise MalformedFlag("a supplied flag needs at least one step")
-    kernel = kernel_destabilizer(fb) if check.kernel_counts else None
+    kernel = kernel_destabilizer(fb) if kernel_rule else None
     if kernel:
-        return _confirmed(fb, kernel, check.sign, -2 * len(kernel.steps[0].columns))
+        return _confirmed(fb, kernel, -2 * len(kernel.steps[0].columns))
+
+    def signs(scores: Iterable[tuple[Fraction, Fraction]]) -> Iterator[Fraction]:
+        for mu, l in scores:
+            if kernel_rule and mu < 0:
+                raise InternalError(f"a flag of a nondegenerate form scored mu = {mu} < 0")
+            yield _sign(mu, l)
+
     if flags is not None:
-        signs = (check.sign(filtration_data_of(fb, flag), _profile(fb, flag)) for flag in flags)
-        verdict = first_violation(signs, strict)
-        if verdict.semistable:
-            return FormVerdict(True)
-        return FormVerdict(False, flags[verdict.witness_index])
+        verdict = first_violation(signs(_score(fb, flag) for flag in flags), strict)
+        witness = None if verdict.semistable else flags[verdict.witness_index]
+        return FormVerdict(verdict.semistable, witness)
     r = fb.model.rank
     if r > EXHAUSTIVE_RANK_CAP:
         raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
     score = _chain_scorer(fb)
-    verdict = first_violation((check.chain_sign(*score(c)) for c in _coordinate_chains(r)), strict)
+    verdict = first_violation(signs(map(score, _coordinate_chains(r))), strict)
     if verdict.semistable:
         return FormVerdict(True)
     chain = next(islice(_coordinate_chains(r), verdict.witness_index, None))
-    return _confirmed(fb, coordinate_flag(chain, r=r), check.sign, check.chain_sign(*score(chain)))
+    return _confirmed(fb, coordinate_flag(chain, r=r), *score(chain))
 
 
 def semistable_form(
     fb: FormBundle, flags: Optional[Sequence[SubsheafFlag]] = None, strict: bool = False
 ) -> FormVerdict:
-    """Asymptotic semistability: a degenerate form's kernel flag, else the supplied flags,
-    or every coordinate chain when `flags` is None."""
-    return _walk(fb, flags, _SEMISTABLE, strict)
-
-
-def _ramanathan_sign(data: FiltrationData, profile: NonvanishingProfile) -> Fraction:
-    """L where mu vanishes; elsewhere nothing is required, so a positive sign."""
-    return Fraction(1) if mu_profile(data, profile) != 0 else functional_L(data)
-
-
-_SEMISTABLE = _Check(asymptotic_sign, lambda mu, m: mu or m, kernel_counts=True)
-_RAMANATHAN = _Check(_ramanathan_sign, lambda mu, l: 1 if mu else l, kernel_counts=False)
+    """Asymptotic semistability: a degenerate form's kernel flag, else Ramanathan's rule
+    over the supplied flags, or every coordinate chain when `flags` is None."""
+    return _walk(fb, flags, True, strict)
 
 
 def ramanathan_semistable(
@@ -515,7 +504,7 @@ def ramanathan_semistable(
 ) -> FormVerdict:
     """L (>=) 0 over every flag whose mu vanishes, of the supplied flags or, when `flags`
     is None, of the coordinate chains; the kernel flag never counts."""
-    return _walk(fb, flags, _RAMANATHAN, strict)
+    return _walk(fb, flags, False, strict)
 
 
 def _coordinate_sets(flag: SubsheafFlag, r: int) -> list[frozenset[int]]:
