@@ -23,8 +23,27 @@ one nonzero maximal minor is 1).
     them: mu = -min over (k, l) in supp Phi of (w_k + w_l).
   * L = -r sum_j sum_{k in S_j} d_k.
 Only the first violating chain becomes a `SubsheafFlag`, and
-`filtration_data_of` and `form_profile` score it again, so the generic
-code confirms every unstable verdict.
+`filtration_data_of` and `form_profile` score it again: the generic code
+confirms the mu and L of every unstable verdict.
+
+One sign for both checks.  `ramanathan_semistable` asks for L >= 0 (L > 0
+under `strict`) wherever mu = 0: its sign is 1 where mu != 0, else L.
+`semistable_form` asks for (mu, M) >= 0 in lexicographic order (> 0 under
+`strict`).  Past the kernel rule below, two facts make them one:
+  * Fact A: M = L on every flag.  In genus zero with total degree zero,
+    P(n) = r (n + 1) and step j has P_j(n) = rk_j (n + 1) + deg_j, so
+    M = sum_j alpha_j (rk_j P - r P_j) = -r sum_j alpha_j deg_j, which is L.
+  * Fact B: mu >= 0 on every flag of a nondegenerate form.  Take a Q(x)-basis
+    e_1, ..., e_r adapted to the flag, e_k in block b(k).  Its Gram matrix
+    under Phi has nonzero determinant, so some permutation sigma has every
+    entry (k, sigma k) nonzero, and each sorted pair (b(k), b(sigma k)) is
+    in the profile.  The block weights w_b(k) sum to 0 over k, so the weight
+    sums of these r pairs average to 0: the least weight sum of the profile,
+    -mu, is at most 0.
+So "mu, or M where mu = 0" is below 0 (or 0 under `strict`) exactly where
+"1, or L where mu = 0" is, and `semistable_form` is the kernel rule followed
+by the walk and the sign of `ramanathan_semistable`.  The walk checks fact B
+as it goes: past the kernel rule, a flag scored mu < 0 raises `InternalError`.
 
 The kernel flag.  A degenerate form (det Phi = 0) has a kernel flag K.
 Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
@@ -171,12 +190,15 @@ def coordinate_flag(
     r = integer(r)
     if alphas is None:
         alphas = [1] * len(chain)
+    if len(alphas) != len(chain):
+        raise MalformedFlag(f"{len(alphas)} alphas for a chain of {len(chain)} steps")
+    subsets = [sorted(map(integer, subset)) for subset in chain]
+    outside = [k for subset in subsets for k in subset if not 1 <= k <= r]
+    if outside:
+        raise MalformedFlag(f"coordinate index {outside[0]} lies outside 1..{r}")
     steps = []
-    for subset, alpha in zip(chain, alphas):
-        columns = []
-        for k in sorted(map(integer, subset)):
-            column = tuple(_ONE if a == k else _ZERO for a in range(1, r + 1))
-            columns.append(column)
+    for subset, alpha in zip(subsets, alphas):
+        columns = [tuple(_ONE if a == k else _ZERO for a in range(1, r + 1)) for k in subset]
         steps.append(FlagStep(tuple(columns), alpha))
     return SubsheafFlag(tuple(steps))
 
@@ -453,9 +475,10 @@ def _score(fb: FormBundle, flag: SubsheafFlag, profile=_profile) -> tuple[Fracti
 
 def _confirmed(fb: FormBundle, flag: SubsheafFlag, mu: int, l: Optional[int] = None) -> FormVerdict:
     """The unstable verdict for `flag`, once scored generically as `mu` and, unless None, `l`."""
-    found = _score(fb, flag, form_profile)
-    if found[0] != mu or (l is not None and found[1] != l):
-        raise InternalError(f"witness scores disagree: {found} scored, {(mu, l)} expected")
+    found_mu, found_l = _score(fb, flag, form_profile)
+    if found_mu != mu or (l is not None and found_l != l):
+        scored = f"mu = {found_mu}, L = {found_l} scored"
+        raise InternalError(f"witness scores disagree: {scored}; mu = {mu}, L = {l} expected")
     return FormVerdict(False, flag)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidDelta, MalformedFiltration, ProfileMismatch
+from .errors import InvalidDelta, MalformedFiltration, OutOfRange, ProfileMismatch
 from .exactmath import Order, UniPoly, integer, is_positive, poly_order, rational
 
 
@@ -245,6 +245,9 @@ def slope_semistable(
 
 def slope_parameter(delta: UniPoly, dim_x: int) -> Fraction:
     """(dim X - 1)! times the degree-(dim X - 1) coefficient of delta."""
+    dim_x = integer(dim_x)
+    if dim_x < 1:
+        raise OutOfRange(f"dim X must be at least 1, got {dim_x}")
     return factorial(dim_x - 1) * delta.coefficient(dim_x - 1)
 
 

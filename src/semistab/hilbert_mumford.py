@@ -36,7 +36,8 @@ class TorusWeightRep:
     basis: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        integer(self.torus_rank)
+        if integer(self.torus_rank) < 0:
+            raise OutOfRange(f"torus rank must be nonnegative, got {self.torus_rank}")
         basis = tuple((label, tuple(map(integer, weight))) for label, weight in self.basis)
         object.__setattr__(self, "basis", basis)
         if not self.basis:

@@ -6,7 +6,7 @@ import time
 from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -321,6 +321,20 @@ class TestCoordinateFlag:
             (ONE, ZERO, ZERO),
             (ZERO, ONE, ZERO),
         )
+
+    def test_one_alpha_per_step(self):
+        """`zip` used to drop the steps past the last alpha: here the second."""
+        for alphas in ([1], [1, 2, 3]):
+            message = f"^{len(alphas)} alphas for a chain of 2 steps$"
+            with pytest.raises(MalformedFlag, match=message):
+                coordinate_flag([[1], [1, 2]], alphas, r=3)
+
+    @pytest.mark.parametrize("index", [0, 4, -1])
+    def test_index_outside_1_to_r(self, index):
+        """An index outside 1..r used to become a zero column, so [[1, 4]] at r = 3 was
+        scored as the step {1} and given a verdict."""
+        with pytest.raises(MalformedFlag, match=f"^coordinate index {index} lies outside 1..3$"):
+            coordinate_flag([[1, index]], r=3)
 
 
 class TestFiltrationDataOf:
@@ -820,8 +834,36 @@ def test_unconfirmed_witness_raises(monkeypatch):
         semistable_form(identity_form(3))
 
 
+def test_negative_mu_is_a_defect_only_past_the_kernel_rule(monkeypatch):
+    """mu < 0 on a flag of a form the kernel rule found nondegenerate contradicts fact B,
+    for chains and for supplied flags alike; the ramanathan check runs no kernel rule, so
+    its mu may be negative and asks nothing there."""
+    fb = identity_form(3)
+    monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (-1, 0))
+    monkeypatch.setattr(classical, "mu_profile", lambda data, profile: Fraction(-1))
+    message = "^a flag of a nondegenerate form scored mu = -1 < 0$"
+    for flags in (None, [coordinate_flag([[1]], r=3)]):
+        with pytest.raises(InternalError, match=message):
+            semistable_form(fb, flags)
+        for strict in (False, True):
+            assert ramanathan_semistable(fb, flags, strict) == FormVerdict(True)
+
+
+def test_confirmation_reads_L(monkeypatch):
+    """A chain scored (0, -1) violates; the generic scoring must then give the same mu and
+    the same L.  On the identity mu differs; on the hyperbolic plane only L does."""
+    monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (0, -1))
+    message = "^witness scores disagree: mu = {}, L = 0 scored; mu = 0, L = -1 expected$"
+    with pytest.raises(InternalError, match=message.format(4)):
+        semistable_form(identity_form(3))
+    hyperbolic = constant_form(TRIVIAL_2, Symmetry.SYMMETRIC, [[0, 1], [1, 0]])
+    for check in (semistable_form, ramanathan_semistable):
+        with pytest.raises(InternalError, match=message.format(0)):
+            check(hyperbolic)
+
+
 @st.composite
-def polynomial_flags(draw):
+def polynomial_flags(draw, models=split_models()):
     """A split model and a flag whose steps are drawn one kind at a time.
 
     A step extends the previous one by a new column (nested) or by a
@@ -830,7 +872,7 @@ def polynomial_flags(draw):
     is fresh random columns, zero columns (rank 0) or the whole basis
     (full rank).
     """
-    model = draw(split_models())
+    model = draw(models)
     r = model.rank
     column = (
         st.lists(polys(2), min_size=r, max_size=r)
@@ -1249,6 +1291,39 @@ class TestConstantFunctionalsAndNonnegativeMu:
         for flag in oracle_gather_flags(fb, flags):
             data = filtration_data_of(fb, flag)
             assert functional_M(data) == UniPoly.of(functional_L(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nondegenerate_forms(max_rank=5), st.data())
+    def test_mu_is_nonnegative_on_polynomial_flags(self, fb, data):
+        """Fact B on a flag drawn one kind of step at a time (the flag rule refuses some)
+        and on a nested flag of a new column a step."""
+        _, drawn = data.draw(polynomial_flags(st.just(fb.model)))
+        _, nested = data.draw(forms_with_nested_flags(st.just(fb)))
+        for flag in (drawn, nested):
+            try:
+                flag_data = filtration_data_of(fb, flag)
+            except (DegenerateFlag, MalformedFlag):
+                continue
+            assert mu_profile(flag_data, form_profile(fb, flag)) >= 0
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_mu_is_nonnegative_on_every_coordinate_chain(self, r):
+        """Fact B on coordinate chains, where the adapted basis is the standard one: every
+        chain scores mu >= 0 exactly on the supports that hold a permutation pattern,
+        over every symmetric support at rank r."""
+        model = SplitSheafModel((0,) * r)
+        pairs = [(k, l) for k in range(r) for l in range(k, r)]
+        chains = list(classical._coordinate_chains(r))
+        for chosen in product((0, 1), repeat=len(pairs)):
+            support = {(k, l) for (k, l), c in zip(pairs, chosen) if c}
+            support |= {(l, k) for k, l in support}
+            if not support:
+                continue
+            rows = [[int((k, l) in support) for l in range(r)] for k in range(r)]
+            score = classical._chain_scorer(constant_form(model, Symmetry.SYMMETRIC, rows))
+            sigmas = permutations(range(r))
+            matched = any(all((k, s[k]) in support for k in range(r)) for s in sigmas)
+            assert all(score(chain)[0] >= 0 for chain in chains) == matched
 
     @settings(max_examples=100, deadline=None)
     @given(forms_and_flags(nondegenerate_forms))

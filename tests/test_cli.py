@@ -740,6 +740,17 @@ def test_rejected_torus_input(shape, tmp_path):
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_negative_torus_rank(tmp_path):
+    document = json.loads((GOLDEN / "destabilize_single.json").read_text())
+    document["payload"]["rep"]["torus_rank"] = -1
+    path = tmp_path / "negative_rank.json"
+    path.write_text(json.dumps(document))
+    result = run_cli(["destabilize", "--input", str(path)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: torus rank must be nonnegative, got -1\n"
+
+
 # (arguments, golden document) for each golden that reads an instance file.
 FUZZ_CASES = [(args[:-2], GOLDEN / args[-1]) for args, _ in CASES if "--input" in args]
 

@@ -29,7 +29,7 @@ from semistab import (
     standard_weight_vector,
     weight_vector_of_filtration,
 )
-from semistab.errors import InvalidDelta, MalformedFiltration, ProfileMismatch
+from semistab.errors import InvalidDelta, MalformedFiltration, OutOfRange, ProfileMismatch
 
 from conftest import (
     oracle_asymptotic_semistable,
@@ -294,6 +294,14 @@ class TestVerdicts:
         assert slope_parameter(UniPoly.of(3, 5), 1) == 3
         assert slope_parameter(UniPoly.of(3, 5), 2) == 5
         assert slope_parameter(UniPoly.of(3), 2) == 0
+
+    @pytest.mark.parametrize("dim_x", [0, -1])
+    def test_slope_parameter_needs_a_positive_dimension(self, dim_x):
+        """`math.factorial` used to raise a bare ValueError here."""
+        with pytest.raises(OutOfRange, match=f"^dim X must be at least 1, got {dim_x}$"):
+            slope_parameter(UniPoly.of(3, 5), dim_x)
+        with pytest.raises(TypeError):
+            slope_parameter(UniPoly.of(3, 5), True)
 
     def test_slopy_implication(self):
         rng = random.Random(4242)

@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             build()
 
+    def test_torus_rank_is_nonnegative(self):
+        """A negative rank used to be refused by the weight lengths, "expected -1"."""
+        with pytest.raises(OutOfRange, match="^torus rank must be nonnegative, got -1$"):
+            TorusWeightRep(-1, (("e1", (1, 0)),))
+        assert TorusWeightRep(0, (("e1", ()),)).torus_rank == 0
+
 
 class TestMu:
     def test_standard_examples(self):

@@ -5,7 +5,8 @@ A mutant is (file, old text, new text); the old text must occur exactly once in 
 file.  A mutant is killed when the test run fails.  The unmutated copy is run first
 and must pass, or every mutant would read killed.  Every run stops at its first
 failure, so a pass costs a full run (about 1.5 minutes on two CPUs).  This script is
-not part of the tier-1 suite or CI.
+not part of the tier-1 suite; `.github/workflows/mutants.yml` runs it weekly and on
+demand, and fails on a survivor.
 
     python tools/mutants.py
 """
@@ -89,6 +90,14 @@ MUTANTS = [
         "src/semistab/flags.py",
         'raise MalformedFiltration(f"weights must sum to zero: {weights}")',
         "pass",
+    ),
+    # Past the kernel rule both checks share one sign, checked against fact B.
+    (CLASSICAL, "if kernel_rule and mu < 0:", "if False:"),
+    (CLASSICAL, "Fraction(1) if mu else l", "mu or l"),
+    (
+        CLASSICAL,
+        "if found_mu != mu or (l is not None and found_l != l):",
+        "if found_mu != mu:",
     ),
 ]
 
