@@ -462,9 +462,10 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
     return score
 
 
-def _sign(mu: Fraction, l: Fraction) -> Fraction:
-    """Ramanathan's sign: L where mu vanishes; elsewhere nothing is required, so 1."""
-    return Fraction(1) if mu else l
+def _sign(mu: Fraction, l: Fraction) -> Fraction | int:
+    """Ramanathan's sign: L where mu vanishes; elsewhere nothing is required, so 1, an int:
+    a `Fraction` a chain made the r = 5 walk about 40 % slower."""
+    return 1 if mu else l
 
 
 def _score(fb: FormBundle, flag: SubsheafFlag, profile=_profile) -> tuple[Fraction, Fraction]:

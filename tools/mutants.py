@@ -93,7 +93,7 @@ MUTANTS = [
     ),
     # Past the kernel rule both checks share one sign, checked against fact B.
     (CLASSICAL, "if kernel_rule and mu < 0:", "if False:"),
-    (CLASSICAL, "Fraction(1) if mu else l", "mu or l"),
+    (CLASSICAL, "1 if mu else l", "mu or l"),
     (
         CLASSICAL,
         "if found_mu != mu or (l is not None and found_l != l):",
