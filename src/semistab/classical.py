@@ -45,6 +45,14 @@ So "mu, or M where mu = 0" is below 0 (or 0 under `strict`) exactly where
 by the walk and the sign of `ramanathan_semistable`.  The walk checks fact B
 as it goes: past the kernel rule, a flag scored mu < 0 raises `InternalError`.
 
+The trivial model.  When every d_k is 0, each coordinate step has degree
+sum_{k in S_j} d_k = 0, so L = 0 on every chain and the sign is 1 where
+mu != 0 and 0 elsewhere, never below 0.  Without `strict` no chain violates,
+for both checks and whatever the rank of Phi (fact B is not needed), so past
+the kernel rule and the rank cap such a form is semistable with no chain
+scored.  On the trivial model the walk, and with it the run-time check of
+fact B, runs only under `strict`.
+
 The kernel flag.  A degenerate form (det Phi = 0) has a kernel flag K.
 Phi K = 0, so the profile of K is {(2, 2)} alone and mu(K) = -2 rk K < 0:
 K is the witness of every `semistable_form` check on such a form, whatever
@@ -463,8 +471,8 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
 
 
 def _sign(mu: Fraction, l: Fraction) -> Fraction | int:
-    """Ramanathan's sign: L where mu vanishes; elsewhere nothing is required, so 1, an int:
-    a `Fraction` a chain made the r = 5 walk about 40 % slower."""
+    """Ramanathan's sign: L where mu vanishes; elsewhere nothing is required, so 1.  The 1
+    is an int: a `Fraction(1)` made for each chain slowed the r = 5 walk by about 40 %."""
     return 1 if mu else l
 
 
@@ -507,6 +515,8 @@ def _walk(
     r = fb.model.rank
     if r > EXHAUSTIVE_RANK_CAP:
         raise TooLarge(f"exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}")
+    if not strict and not any(fb.model.summand_degrees):
+        return FormVerdict(True)  # the trivial model: L = 0 on every chain
     score = _chain_scorer(fb)
     verdict = first_violation(signs(map(score, _coordinate_chains(r))), strict)
     if verdict.semistable:

@@ -828,38 +828,76 @@ def test_ramanathan_on_supplied_flags_makes_no_kernel_call(monkeypatch):
 
 
 def test_unconfirmed_witness_raises(monkeypatch):
-    """A chain the integers call violating, that the generic scoring does not, is a defect."""
+    """A chain the integers call violating, that the generic scoring does not, is a defect.
+    Under `strict`, since without it no chain of the trivial model is scored."""
     monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (-1, 0))
     with pytest.raises(InternalError):
-        semistable_form(identity_form(3))
+        semistable_form(identity_form(3), strict=True)
 
 
 def test_negative_mu_is_a_defect_only_past_the_kernel_rule(monkeypatch):
     """mu < 0 on a flag of a form the kernel rule found nondegenerate contradicts fact B,
     for chains and for supplied flags alike; the ramanathan check runs no kernel rule, so
-    its mu may be negative and asks nothing there."""
+    its mu may be negative and asks nothing there.  The chains of the trivial model are
+    scored only under `strict`."""
     fb = identity_form(3)
     monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (-1, 0))
     monkeypatch.setattr(classical, "mu_profile", lambda data, profile: Fraction(-1))
     message = "^a flag of a nondegenerate form scored mu = -1 < 0$"
     for flags in (None, [coordinate_flag([[1]], r=3)]):
         with pytest.raises(InternalError, match=message):
-            semistable_form(fb, flags)
+            semistable_form(fb, flags, strict=flags is None)
         for strict in (False, True):
             assert ramanathan_semistable(fb, flags, strict) == FormVerdict(True)
 
 
 def test_confirmation_reads_L(monkeypatch):
     """A chain scored (0, -1) violates; the generic scoring must then give the same mu and
-    the same L.  On the identity mu differs; on the hyperbolic plane only L does."""
+    the same L.  On the identity mu differs; on the hyperbolic plane only L does.  Under
+    `strict`, since without it no chain of the trivial model is scored."""
     monkeypatch.setattr(classical, "_chain_scorer", lambda fb: lambda chain: (0, -1))
     message = "^witness scores disagree: mu = {}, L = 0 scored; mu = 0, L = -1 expected$"
     with pytest.raises(InternalError, match=message.format(4)):
-        semistable_form(identity_form(3))
+        semistable_form(identity_form(3), strict=True)
     hyperbolic = constant_form(TRIVIAL_2, Symmetry.SYMMETRIC, [[0, 1], [1, 0]])
     for check in (semistable_form, ramanathan_semistable):
         with pytest.raises(InternalError, match=message.format(0)):
-            check(hyperbolic)
+            check(hyperbolic, strict=True)
+
+
+def _refuse(*args):
+    raise AssertionError("no chain is scored")
+
+
+@pytest.mark.parametrize("r", range(1, EXHAUSTIVE_RANK_CAP + 1))
+def test_trivial_model_without_strict_scores_no_chain(r, monkeypatch):
+    """On the trivial model L = 0 on every chain, so without `strict` no chain violates:
+    both checks return semistable with no chain built or scored, whatever the rank of Phi.
+    A degenerate form still gets its kernel witness from a `semistable` check."""
+    monkeypatch.setattr(classical, "_chain_scorer", _refuse)
+    monkeypatch.setattr(classical, "_coordinate_chains", _refuse)
+    model = SplitSheafModel((0,) * r)
+    forms = [identity_form(r)]
+    if r % 2 == 0:
+        planes = [[int(a // 2 == b // 2 and a != b) for b in range(r)] for a in range(r)]
+        forms.append(constant_form(model, Symmetry.SYMMETRIC, planes))
+    for fb in forms:
+        for check in (semistable_form, ramanathan_semistable):
+            assert check(fb) == FormVerdict(True)
+    if r > 1:
+        degenerate = constant_form(
+            model, Symmetry.SYMMETRIC, [[int(a == b == 0) for b in range(r)] for a in range(r)]
+        )
+        assert ramanathan_semistable(degenerate) == FormVerdict(True)
+        kernel = kernel_destabilizer(degenerate)
+        assert semistable_form(degenerate) == FormVerdict(False, kernel)
+
+
+def test_trivial_model_past_the_cap_is_still_refused():
+    message = f"^exhaustive enumeration capped at rank {EXHAUSTIVE_RANK_CAP}$"
+    for check in (semistable_form, ramanathan_semistable):
+        with pytest.raises(TooLarge, match=message):
+            check(identity_form(EXHAUSTIVE_RANK_CAP + 1))
 
 
 @st.composite
@@ -1324,6 +1362,30 @@ class TestConstantFunctionalsAndNonnegativeMu:
             sigmas = permutations(range(r))
             matched = any(all((k, s[k]) in support for k in range(r)) for s in sigmas)
             assert all(score(chain)[0] >= 0 for chain in chains) == matched
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("symmetry", list(Symmetry))
+    def test_every_trivial_model_support_matches_the_oracles(self, r, symmetry):
+        """Every nonzero symmetric and antisymmetric 0/1 support at rank r on the trivial
+        model, through both checks with and without `strict`: the verdict and witness of
+        the generic walk, where without `strict` no chain is scored."""
+        model = SplitSheafModel((0,) * r)
+        sign = -1 if symmetry is Symmetry.ANTISYMMETRIC else 1
+        pairs = [(k, l) for k in range(r) for l in range(k + (sign < 0), r)]
+        checks = (
+            (semistable_form, oracle_semistable_form),
+            (ramanathan_semistable, oracle_ramanathan_semistable),
+        )
+        for chosen in product((0, 1), repeat=len(pairs)):
+            support = {(k, l) for (k, l), c in zip(pairs, chosen) if c}
+            if not support:
+                continue
+            rows = [[0] * r for _ in range(r)]
+            for k, l in support:
+                rows[k][l], rows[l][k] = 1, sign
+            fb = constant_form(model, symmetry, rows)
+            for (check, oracle), strict in product(checks, (False, True)):
+                assert check(fb, strict=strict) == oracle(fb, strict=strict)
 
     @settings(max_examples=100, deadline=None)
     @given(forms_and_flags(nondegenerate_forms))
