@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
+from .errors import OutOfRange
+
 RationalLike = Union[int, Fraction, str]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -87,6 +89,9 @@ class UniPoly:
 
     @staticmethod
     def x(power: int = 1) -> "UniPoly":
+        """x ** power, for an integer power of at least 0."""
+        if integer(power) < 0:
+            raise OutOfRange(f"the power of x must be at least 0, got {power}")
         return UniPoly((Fraction(0),) * power + (Fraction(1),))
 
     def is_zero(self) -> bool:

@@ -26,6 +26,7 @@ from semistab import (
     poly_order,
     rational,
 )
+from semistab.errors import OutOfRange
 from semistab.exactmath import integer, poly_gcd
 from semistab.jsonio import decode_poly, encode_poly
 
@@ -142,6 +143,17 @@ class TestUniPoly:
         one = UniPoly.of(1)
         assert (x + one) + (x - one) == x.scale(2)
         assert x.scale(Fraction(3, 2)) == UniPoly.of(0, Fraction(3, 2))
+
+    def test_x_takes_a_power_of_at_least_zero(self):
+        assert UniPoly.x(0) == UniPoly.of(1)
+        assert UniPoly.x(3) == UniPoly.of(0, 0, 0, 1)
+        for power in (-1, -5):
+            message = f"^the power of x must be at least 0, got {power}$"
+            with pytest.raises(OutOfRange, match=message):
+                UniPoly.x(power)
+        for power in (True, False, 1.0):
+            with pytest.raises(TypeError, match="^expected an integer, got "):
+                UniPoly.x(power)
 
     def test_divmod(self):
         p = UniPoly.of(-1, 0, 1)  # x^2 - 1
