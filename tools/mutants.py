@@ -5,8 +5,9 @@ A mutant is (file, old text, new text); the old text must occur exactly once in 
 file.  A mutant is killed when the test run fails.  The unmutated copy is run first
 and must pass, or every mutant would read killed.  Every run stops at its first
 failure, so a pass costs a full run (about 1.5 minutes on two CPUs).  This script is
-not part of the tier-1 suite; `.github/workflows/mutants.yml` runs it weekly and on
-demand, and fails on a survivor.
+not part of the tier-1 suite; `.github/workflows/mutants.yml` runs it weekly, on
+demand and on pull requests that touch the package, the tests or this file, and fails
+on a survivor.
 
     python tools/mutants.py
 """
@@ -99,6 +100,17 @@ MUTANTS = [
         "if found_mu != mu or (l is not None and found_l != l):",
         "if found_mu != mu:",
     ),
+    # Only a non-strict check on the trivial model skips the walk.
+    (
+        CLASSICAL,
+        "if not strict and not any(fb.model.summand_degrees):",
+        "if not any(fb.model.summand_degrees):",
+    ),
+    (
+        CLASSICAL,
+        "if not strict and not any(fb.model.summand_degrees):",
+        "if not strict:",
+    ),
 ]
 
 
@@ -140,7 +152,7 @@ def main() -> int:
     for path, old, new in MUTANTS:
         verdict = "killed" if tests_fail((path, old, new)) else "survived"
         survivors += verdict == "survived"
-        print(f"{path}: {old!r}: {verdict}", flush=True)
+        print(f"{path}: {old!r} -> {new!r}: {verdict}", flush=True)
     return 1 if survivors else 0
 
 
