@@ -8,8 +8,10 @@ form's nonvanishing profile (s = 2, pairs) decides semistability.
 
 Coordinate flags in integers.  Without flags (`flags=None`), the walk
 scores every chain S_1 < ... < S_t of nonempty proper subsets of 1..r, each
-alpha 1, without building a flag.  Step j is the sum of the summands in
-S_j: its rank is |S_j| and its saturation degree sum_{k in S_j} d_k (its
+alpha 1, without building a flag.  Each S_j is a bitmask (bit k - 1 for
+index k), and only the witness's chain becomes index lists again, for
+`coordinate_flag`.  Step j is the sum of the summands in S_j: its rank is
+|S_j|, the bit count, and its saturation degree sum_{k in S_j} d_k (its
 one nonzero maximal minor is 1).
   * Block weights.  Coordinate k lies in block b(k), the first j with
     k in S_j (t + 1 if none).  Block b weighs sum_j |S_j| - r (t + 1 - b),
@@ -71,10 +73,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _polyalg
@@ -401,33 +401,31 @@ class FormVerdict:
     witness: Optional[SubsheafFlag] = None
 
 
-Chain = tuple[tuple[int, ...], ...]
-
-
-def _coordinate_subsets(r: int) -> list[tuple[int, ...]]:
-    """Nonempty proper subsets of 1..r as sorted tuples, by size, then lexicographically."""
-    return [c for k in range(1, r) for c in combinations(range(1, r + 1), k)]
+Chain = tuple[int, ...]
 
 
 def _coordinate_chains(r: int) -> Iterator[Chain]:
-    """Chains S_1 < ... < S_t of nonempty proper subsets of 1..r, in walk order.
+    """Chains S_1 < ... < S_t of nonempty proper subsets of 1..r as bitmasks, in walk order.
 
-    Depth first: a chain comes just before its extensions, and the
-    extensions of a chain by one subset follow `_coordinate_subsets`.
+    Depth first: a chain comes just before its extensions.  A chain ending in S
+    (the empty chain: S empty) extends by S | A for each nonempty A strictly inside
+    the complement of S, by |A| and then lexicographically; S gets that list the
+    first time the walk reaches it.
     """
-    subsets = _coordinate_subsets(r)
-    sets = {s: frozenset(s) for s in subsets}
-    supersets = {s: [u for u in subsets if sets[s] < sets[u]] for s in subsets}
+    extensions: dict[int, list[int]] = {}
 
-    def extend(chain: Chain) -> Iterator[Chain]:
-        for s in supersets[chain[-1]]:
-            longer = chain + (s,)
+    def extend(chain: Chain, s: int) -> Iterator[Chain]:
+        if s not in extensions:
+            free = [1 << k for k in range(r) if not s >> k & 1]
+            extensions[s] = [
+                s | sum(a) for size in range(1, len(free)) for a in combinations(free, size)
+            ]
+        for u in extensions[s]:
+            longer = chain + (u,)
             yield longer
-            yield from extend(longer)
+            yield from extend(longer, u)
 
-    for s in subsets:
-        yield (s,)
-        yield from extend((s,))
+    return extend((), 0)
 
 
 def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
@@ -435,25 +433,24 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
 
     Block b of a chain of t steps weighs sum_j |S_j| - r (t + 1 - b): the
     weight sum of a profile pair (i, j) grows with i + j, so mu is read
-    off the profile pair with the least i + j.  Subsets are bitmasks here,
-    bit k - 1 for index k; Phi links S_i to S_j, putting (i, j) in the
-    profile, when `reach[S_i]`, the indices l with Phi_kl != 0 for some k
-    in S_i, meets S_j.
+    off the profile pair with the least i + j.  Phi links S_i to S_j, putting
+    (i, j) in the profile, when `reach[S_i]`, the indices l with Phi_kl != 0
+    for some k in S_i, meets S_j.  `reach` and `degree` are indexed by mask,
+    each entry made from the one with its lowest bit cleared.
     """
     r = fb.model.rank
     everything = (1 << r) - 1
-    rows = [
-        sum(1 << l for l in range(r) if not fb.entries[k][l].is_zero()) for k in range(r)
-    ]
-    mask, reach, degree = {}, {}, {}
-    for s in _coordinate_subsets(r):
-        mask[s] = sum(1 << (k - 1) for k in s)
-        reach[s] = reduce(or_, (rows[k - 1] for k in s))
-        degree[s] = sum(fb.model.summand_degrees[k - 1] for k in s)
+    rows = [sum(1 << l for l in range(r) if not fb.entries[k][l].is_zero()) for k in range(r)]
+    reach, degree = [0] * (everything + 1), [0] * (everything + 1)
+    for s in range(1, everything + 1):
+        low = s & -s
+        k = low.bit_length() - 1
+        reach[s] = reach[s - low] | rows[k]
+        degree[s] = degree[s - low] + fb.model.summand_degrees[k]
 
     def score(chain: Chain) -> tuple[int, int]:
         t = len(chain)
-        masks = [mask[s] for s in chain] + [everything]
+        masks = chain + (everything,)
         least = 2 * t + 2  # (t + 1, t + 1): Phi is nonzero
         for i, s in enumerate(chain):
             if 2 * i + 2 >= least:
@@ -464,7 +461,7 @@ def _chain_scorer(fb: FormBundle) -> Callable[[Chain], tuple[int, int]]:
                 if reach[s] & masks[j]:
                     least = i + j + 2
                     break
-        mu = r * (2 * t + 2 - least) - 2 * sum(map(len, chain))
+        mu = r * (2 * t + 2 - least) - 2 * sum(map(int.bit_count, chain))
         return mu, -r * sum(degree[s] for s in chain)
 
     return score
@@ -522,7 +519,8 @@ def _walk(
     if verdict.semistable:
         return FormVerdict(True)
     chain = next(islice(_coordinate_chains(r), verdict.witness_index, None))
-    return _confirmed(fb, coordinate_flag(chain, r=r), *score(chain))
+    indices = [[k + 1 for k in range(r) if s >> k & 1] for s in chain]
+    return _confirmed(fb, coordinate_flag(indices, r=r), *score(chain))
 
 
 def semistable_form(

@@ -96,6 +96,7 @@ class WeightVector:
 
 def standard_weight_vector(r: int, i: int) -> WeightVector:
     """The vector with i entries equal to i - r followed by r - i entries equal to i."""
+    r, i = integer(r), integer(i)
     if r < 2:
         raise OutOfRange(f"rank must be at least 2, got {r}")
     if not 1 <= i <= r - 1:

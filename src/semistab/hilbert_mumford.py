@@ -204,6 +204,7 @@ def torus_destabilize(rep: TorusWeightRep, point: RepPoint) -> TorusVerdict:
 
 def divided_power_dim(r: int, u: int) -> int:
     """Dimension of the u-th divided power of a rank-r space."""
+    r, u = integer(r), integer(u)
     if r < 1 or u < 0:
         raise DimensionMismatch("need r >= 1 and u >= 0")
     return comb(r + u - 1, u)
@@ -212,6 +213,7 @@ def divided_power_dim(r: int, u: int) -> int:
 def dd_module_dim(r: int, u: int, v: int) -> int:
     """Dimension of D^u(V^{+v}) for V of rank r: the sum over compositions of u into v
     parts of products of divided-power dims, which is D^u of a rank-rv space."""
+    r, u, v = integer(r), integer(u), integer(v)
     if v < 1:
         raise DimensionMismatch("need v >= 1")
     return divided_power_dim(r * v, u)
@@ -219,6 +221,7 @@ def dd_module_dim(r: int, u: int, v: int) -> int:
 
 def weighted_compositions(s: int) -> list[tuple[int, ...]]:
     """All (d_1,..,d_s) with d_i >= 0 and sum i*d_i = s!, lexicographic."""
+    s = integer(s)
     if s < 1:
         raise OutOfRange("s must be at least 1")
     if s > 4:

@@ -106,6 +106,7 @@ def heinloth_curve_condition(types: Iterable[DynkinType]) -> CharCondition:
 
 def separable_index_upper_bound(group_rank: int, height: int) -> int:
     """rank! times height^rank."""
+    group_rank, height = integer(group_rank), integer(height)
     if group_rank < 1 or height < 1:
         raise InvalidRank("rank and height must be positive")
     return factorial(group_rank) * height**group_rank

@@ -328,12 +328,17 @@ def _scored(scores, fb, steps, score):
 
 def oracle_score(fb, flag):
     """`filtration_data_of` and `form_profile` of a flag that satisfies the flag rule,
-    composed from scores of shorter flags.
+    composed from scores of shorter flags, once per form and flag.
 
     The one-step flag (step i) gives member i, and (i, i) and (i, t + 1)
     as its pairs (1, 1) and (1, 2); the two-step flag (step i, step j)
     gives (i, j), i < j, as its pair (1, 2).
     """
+    return _scored(_form_scores(fb), fb, flag.steps, _composed_score)
+
+
+def _composed_score(fb, flag):
+    """`oracle_score` of a flag not scored before for this form."""
     scores = _form_scores(fb)
     t = flag.step_count
     members, tuples = [], {(t + 1, t + 1)}

@@ -21,10 +21,15 @@ from semistab import (
     UniPoly,
     WeightedFlag,
     coordinate_flag,
+    dd_module_dim,
+    divided_power_dim,
     format_rational,
     is_positive,
     poly_order,
     rational,
+    separable_index_upper_bound,
+    standard_weight_vector,
+    weighted_compositions,
 )
 from semistab.errors import OutOfRange
 from semistab.exactmath import integer, poly_gcd
@@ -126,6 +131,22 @@ class TestInteger:
         """Each of these was accepted (a float kept or a bool read as 1) before."""
         with pytest.raises(TypeError, match="^expected an integer, got "):
             build()
+
+    @pytest.mark.parametrize(
+        "function,args",
+        [
+            (separable_index_upper_bound, (True, 3)),
+            (divided_power_dim, (True, 2)),
+            (dd_module_dim, (2, True, 1)),
+            (weighted_compositions, (True,)),
+            (standard_weight_vector, (3, True)),
+        ],
+        ids=["separable-index", "divided-power", "dd-module", "compositions", "weight-vector"],
+    )
+    def test_functions_read_integers(self, function, args):
+        """Each of these read the bool as 1 and returned a value before."""
+        with pytest.raises(TypeError, match="^expected an integer, got True$"):
+            function(*args)
 
     def test_flag_alpha_read_as_a_rational(self):
         with pytest.raises(TypeError, match='expected an integer or a "p/q" string, got 0.5'):

@@ -34,9 +34,17 @@ MUTANTS = [
     (CLASSICAL, "if reach[s] & masks[j]:", "if reach[s] & masks[i]:"),
     (
         CLASSICAL,
-        "mu = r * (2 * t + 2 - least) - 2 * sum(map(len, chain))",
-        "mu = r * (2 * t + 2 - least) - sum(map(len, chain))",
+        "- 2 * sum(map(int.bit_count, chain))",
+        "- sum(map(int.bit_count, chain))",
     ),
+    # The walk order and the tables of the bitmask walk.
+    (CLASSICAL, "for size in range(1, len(free))", "for size in range(1, len(free) + 1)"),
+    (
+        CLASSICAL,
+        "yield longer\n            yield from extend(longer, u)",
+        "yield from extend(longer, u)\n            yield longer",
+    ),
+    (CLASSICAL, "k = low.bit_length() - 1", "k = s.bit_length() - 1"),
     (CLASSICAL, "if ranks and k <= ranks[-1]:", "if ranks and k < ranks[-1]:"),
     (CLASSICAL, "return basis, k == len(pivots)", "return basis, True"),
     (
